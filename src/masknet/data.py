@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +57,18 @@ class Field:
         return self.vocab[index] if index < len(self.vocab) else "<OOV>"
 
 
+class TableRows(NamedTuple):
+    """Where each field's rows sit when per-field tables are stacked in schema
+    order: a categorical field owns vocab_size + 1 rows (the last is its OOV
+    slot), a numerical field one row."""
+
+    cat_pos: np.ndarray  # schema positions of the categorical fields
+    cat_first: np.ndarray  # first row of each categorical field
+    cat_oov: np.ndarray  # OOV index (vocab_size), the largest valid one
+    num_pos: np.ndarray  # schema positions of the numerical fields
+    num_row: np.ndarray  # the row of each numerical field
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     fields: tuple[Field, ...]
@@ -81,15 +95,19 @@ class FeatureSchema:
     def numerical(self) -> tuple[Field, ...]:
         return tuple(f for f in self.fields if f.kind == NUMERICAL)
 
-
-@dataclass(frozen=True)
-class EncodedInstance:
-    """Row view of a Dataset: dense categorical indices + raw numerical values."""
-
-    cat: tuple[int, ...]
-    num: tuple[float, ...]
-    label: float
-    logit: float | None = None
+    @cached_property
+    def table_rows(self) -> TableRows:
+        sizes = [f.vocab_size + 1 if f.kind == CATEGORICAL else 1 for f in self.fields]
+        first = np.cumsum([0] + sizes)
+        is_cat = np.array([f.kind == CATEGORICAL for f in self.fields])
+        cat_pos, num_pos = np.flatnonzero(is_cat), np.flatnonzero(~is_cat)
+        return TableRows(
+            cat_pos=cat_pos,
+            cat_first=first[cat_pos],
+            cat_oov=np.array([f.vocab_size for f in self.categorical], dtype=np.int64),
+            num_pos=num_pos,
+            num_row=first[num_pos],
+        )
 
 
 @dataclass(frozen=True)
@@ -111,14 +129,6 @@ class Dataset:
     @property
     def positive_rate(self) -> float:
         return float(self.labels.mean())
-
-    def instance(self, i: int) -> EncodedInstance:
-        return EncodedInstance(
-            cat=tuple(int(v) for v in self.cat[i]),
-            num=tuple(float(v) for v in self.num[i]),
-            label=float(self.labels[i]),
-            logit=None if self.logits is None else float(self.logits[i]),
-        )
 
     def take(self, idx: np.ndarray, split: str) -> "Dataset":
         return Dataset(
@@ -223,19 +233,20 @@ def build_schema_and_encode(
 
     Vocabularies are built only from `train_rows` (all rows when None), in
     first-seen order; categories outside them encode to the reserved OOV
-    index.  Numerical cells pass through as raw scalars.
+    index.  Numerical cells pass through as raw scalars; a numerical or logit
+    cell that is not a finite number raises IngestError naming its line.
     """
     n = raw.n
     if train_rows is None:
         train_rows = np.arange(n)
-    vocab_source = set(int(i) for i in train_rows)
+    vocab_rows = sorted(set(int(i) for i in train_rows))
 
     fields: list[Field] = []
     col_of: dict[str, int] = {}
     for j, col in enumerate(raw.columns):
         if col.kind == CATEGORICAL:
             seen: dict[str, None] = {}
-            for i in sorted(vocab_source):
+            for i in vocab_rows:
                 seen.setdefault(raw.rows[i][j], None)
             fields.append(Field(col.name, CATEGORICAL, tuple(seen)))
             col_of[col.name] = j
@@ -267,6 +278,14 @@ def build_schema_and_encode(
                 num[i, a] = float(tok)
             except ValueError:
                 raise IngestError(f"line {lineno}: field {fld.name!r} value {tok!r} is not a number") from None
+    columns = [(f"field {fld.name!r}", num[:, a], col_of[fld.name]) for a, fld in enumerate(schema.numerical)]
+    if logits is not None:
+        columns.append((f"logit {raw.columns[logit_j].name!r}", logits, logit_j))
+    for what, values, j in columns:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise IngestError(f"line {i + 2}: {what} value {raw.rows[i][j]!r} is not finite")
     return schema, Dataset(schema=schema, cat=cat, num=num, labels=labels, logits=logits)
 
 

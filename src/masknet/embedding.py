@@ -5,6 +5,10 @@ the transpose layout of the k x n one-hot matmul; row vocab_size is the OOV
 slot.  Numerical fields own a single k-vector scaled by the raw value.  Every
 field contributes exactly k dimensions, in schema order, so the instance
 embedding has width m = f*k.
+
+The tables sit back to back in the parameter store, so together they form
+one (R, k) matrix with each field's rows in schema order
+(`FeatureSchema.table_rows`); the forward pass is one gather from it.
 """
 
 from __future__ import annotations
@@ -20,57 +24,58 @@ def embedding_param_names(schema: FeatureSchema) -> list[str]:
     return [f"emb.{f.name}" for f in schema.fields]
 
 
-def init_embedding(store: ParamStore, schema: FeatureSchema, k: int, rng: np.random.Generator) -> None:
+def init_embedding(schema: FeatureSchema, k: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """i.i.d. normal with std 1/sqrt(k); one table or vector per field."""
     std = 1.0 / np.sqrt(k)
-    for fld in schema.fields:
-        if fld.kind == CATEGORICAL:
-            store.add(f"emb.{fld.name}", rng.normal(0.0, std, size=(fld.vocab_size + 1, k)))
-        else:
-            store.add(f"emb.{fld.name}", rng.normal(0.0, std, size=(k,)))
+    return {
+        name: rng.normal(0.0, std, size=(fld.vocab_size + 1, k) if fld.kind == CATEGORICAL else (k,))
+        for name, fld in zip(embedding_param_names(schema), schema.fields)
+    }
 
 
-def embed_fwd(
-    params: dict[str, np.ndarray], schema: FeatureSchema, cat: np.ndarray, num: np.ndarray, k: int
-) -> np.ndarray:
+def embedding_tables(store: ParamStore, schema: FeatureSchema, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R, k) views of the embedding rows in the parameter and gradient buffers."""
+    sl = store.span(embedding_param_names(schema))
+    return store.param_buf[sl].reshape(-1, k), store.grad_buf[sl].reshape(-1, k)
+
+
+def embed_fwd(table: np.ndarray, schema: FeatureSchema, cat: np.ndarray, num: np.ndarray) -> np.ndarray:
     """Concatenate per-field embeddings: lookup for categorical (equivalent to
     the one-hot matmul), value-scaled vector for numerical.  Returns (B, f*k)."""
-    n_rows = cat.shape[0] if cat.size or not num.size else num.shape[0]
-    out = np.empty((n_rows, schema.f * k), dtype=np.float64)
-    ci = ni = 0
-    for pos, fld in enumerate(schema.fields):
-        dst = out[:, pos * k : (pos + 1) * k]
-        table = params[f"emb.{fld.name}"]
-        if fld.kind == CATEGORICAL:
-            idx = cat[:, ci]
-            if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-                raise SchemaError(
-                    f"field {fld.name!r}: index outside [0, {table.shape[0]}) in batch"
-                )
-            dst[...] = table[idx]
-            ci += 1
-        else:
-            dst[...] = num[:, ni, None] * table
-            ni += 1
-    return out
+    rows = schema.table_rows
+    if cat.size:
+        bad = (cat.min(axis=0) < 0) | (cat.max(axis=0) > rows.cat_oov)
+        if bad.any():
+            fld = schema.categorical[int(np.argmax(bad))]
+            raise SchemaError(f"field {fld.name!r}: index outside [0, {fld.vocab_size + 1}) in batch")
+    if rows.num_pos.size:
+        idx = np.empty((num.shape[0], schema.f), dtype=np.intp)
+        idx[:, rows.cat_pos] = cat + rows.cat_first
+        idx[:, rows.num_pos] = rows.num_row
+        out = table[idx]
+        out[:, rows.num_pos] *= num[:, :, None]
+    else:
+        out = table[cat + rows.cat_first]
+    return out.reshape(out.shape[0], schema.f * table.shape[1])
 
 
 def embed_bwd(
     dv: np.ndarray,
-    grads: dict[str, np.ndarray],
+    grad_table: np.ndarray,
     schema: FeatureSchema,
     cat: np.ndarray,
     num: np.ndarray,
-    k: int,
 ) -> None:
     """Accumulate gradients only into touched rows (scatter-add per field)."""
-    ci = ni = 0
+    k = grad_table.shape[1]
+    row = ci = ni = 0
     for pos, fld in enumerate(schema.fields):
         dslice = dv[:, pos * k : (pos + 1) * k]
-        g = grads[f"emb.{fld.name}"]
         if fld.kind == CATEGORICAL:
-            np.add.at(g, cat[:, ci], dslice)
+            np.add.at(grad_table[row : row + fld.vocab_size + 1], cat[:, ci], dslice)
+            row += fld.vocab_size + 1
             ci += 1
         else:
-            g += (num[:, ni, None] * dslice).sum(axis=0)
+            grad_table[row] += (num[:, ni, None] * dslice).sum(axis=0)
+            row += 1
             ni += 1

@@ -45,10 +45,7 @@ def _away_from_kinks(x: np.ndarray, margin: float = 1e-3) -> np.ndarray:
 
 
 def check_dense_affine(rng) -> GradcheckReport:
-    store = ParamStore()
-    store.add("w", rng.normal(size=(4, 3)))
-    store.add("b", rng.normal(size=4))
-    store.add("x", rng.normal(size=(2, 3)))
+    store = ParamStore({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4), "x": rng.normal(size=(2, 3))})
     u = rng.normal(size=(2, 4))
 
     def f(store):
@@ -64,8 +61,7 @@ def check_dense_affine(rng) -> GradcheckReport:
 
 
 def check_relu(rng) -> GradcheckReport:
-    store = ParamStore()
-    store.add("x", _away_from_kinks(rng.normal(size=(3, 5))))
+    store = ParamStore({"x": _away_from_kinks(rng.normal(size=(3, 5)))})
     u = rng.normal(size=(3, 5))
 
     def f(store):
@@ -79,9 +75,7 @@ def check_relu(rng) -> GradcheckReport:
 
 def check_sigmoid_logloss(rng) -> GradcheckReport:
     # one-instance, one-layer sigmoid model: the oracle self-test
-    store = ParamStore()
-    store.add("w", rng.normal(size=4))
-    store.add("x", rng.normal(size=4))
+    store = ParamStore({"w": rng.normal(size=4), "x": rng.normal(size=4)})
     y_true = 1.0
 
     def f(store):
@@ -98,10 +92,7 @@ def check_sigmoid_logloss(rng) -> GradcheckReport:
 
 def check_layer_norm(rng) -> GradcheckReport:
     H = 16
-    store = ParamStore()
-    store.add("g", rng.normal(size=H) + 1.0)
-    store.add("b", rng.normal(size=H))
-    store.add("x", rng.normal(size=(3, H)))
+    store = ParamStore({"g": rng.normal(size=H) + 1.0, "b": rng.normal(size=H), "x": rng.normal(size=(3, H))})
     u = rng.normal(size=(3, H))
 
     def f(store):
@@ -118,10 +109,11 @@ def check_layer_norm(rng) -> GradcheckReport:
 
 def check_ln_emb(rng) -> GradcheckReport:
     f_fields, k = 3, 4
-    store = ParamStore()
-    store.add("g", rng.normal(size=(f_fields, k)) + 1.0)
-    store.add("b", rng.normal(size=(f_fields, k)))
-    store.add("x", rng.normal(size=(2, f_fields * k)))
+    store = ParamStore({
+        "g": rng.normal(size=(f_fields, k)) + 1.0,
+        "b": rng.normal(size=(f_fields, k)),
+        "x": rng.normal(size=(2, f_fields * k)),
+    })
     u = rng.normal(size=(2, f_fields * k))
 
     def f(store):
@@ -138,11 +130,12 @@ def check_ln_emb(rng) -> GradcheckReport:
 
 def check_ln_hid(rng) -> GradcheckReport:
     t, m = 6, 4
-    store = ParamStore()
-    store.add("w", rng.normal(size=(m, t)))
-    store.add("g", rng.normal(size=m) + 1.0)
-    store.add("b", rng.normal(size=m))
-    store.add("x", rng.normal(size=(2, t)))
+    store = ParamStore({
+        "w": rng.normal(size=(m, t)),
+        "g": rng.normal(size=m) + 1.0,
+        "b": rng.normal(size=m),
+        "x": rng.normal(size=(2, t)),
+    })
     u = rng.normal(size=(2, m))
 
     def f(store):
@@ -161,12 +154,13 @@ def check_ln_hid(rng) -> GradcheckReport:
 def check_instance_mask(rng) -> GradcheckReport:
     m, z, r = 6, 4, 2
     t = r * z
-    store = ParamStore()
-    store.add("w1", rng.normal(size=(t, m)))
-    store.add("b1", rng.normal(size=t))
-    store.add("w2", rng.normal(size=(z, t)))
-    store.add("b2", rng.normal(size=z))
-    store.add("x", rng.normal(size=(2, m)))
+    store = ParamStore({
+        "w1": rng.normal(size=(t, m)),
+        "b1": rng.normal(size=t),
+        "w2": rng.normal(size=(z, t)),
+        "b2": rng.normal(size=z),
+        "x": rng.normal(size=(2, m)),
+    })
     u = rng.normal(size=(2, z))
 
     def f(store):
@@ -184,9 +178,7 @@ def check_instance_mask(rng) -> GradcheckReport:
 
 
 def check_apply_mask(rng) -> GradcheckReport:
-    store = ParamStore()
-    store.add("mask", rng.normal(size=(2, 5)))
-    store.add("target", rng.normal(size=(2, 5)))
+    store = ParamStore({"mask": rng.normal(size=(2, 5)), "target": rng.normal(size=(2, 5))})
     u = rng.normal(size=(2, 5))
 
     def f(store):

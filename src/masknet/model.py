@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import CATEGORICAL, Dataset, FeatureSchema, Field
-from .embedding import embed_bwd, embed_fwd, init_embedding
+from .embedding import embed_bwd, embed_fwd, embedding_tables, init_embedding
 from .errors import CheckpointError, ConfigError
 from .layers import DEFAULT_LN_EPS, ln_emb_bwd, ln_emb_fwd
 from .maskblock import (
@@ -40,8 +40,8 @@ INIT_STREAM = 0
 
 TOPOLOGIES = ("serial", "parallel", "dnn", "linear")
 
-# maskblock grad keys -> parameter name suffixes
-_BLOCK_GRAD_KEYS = {
+# BlockParams fields (and maskblock grad keys) -> parameter name suffixes
+_BLOCK_KEYS = {
     "w1": "mask.w1",
     "b1": "mask.b1",
     "w2": "mask.w2",
@@ -95,72 +95,75 @@ class Model:
     def __init__(self, spec: ModelSpec, schema: FeatureSchema):
         self.spec = spec
         self.schema = schema
-        self.store = ParamStore()
+        self.store = ParamStore(self._init_arrays(make_rng(spec.seed, INIT_STREAM)))
+        p = self.store.params
         self._blocks: list[BlockParams] = []
-        self._build(make_rng(spec.seed, INIT_STREAM))
+        if spec.topology in ("serial", "parallel"):
+            self._blocks = [
+                BlockParams(**{key: p.get(f"block{i}.{suffix}") for key, suffix in _BLOCK_KEYS.items()})
+                for i in range(1, spec.u + 1)
+            ]
+        if spec.topology != "linear":
+            self._emb, self._emb_grad = embedding_tables(self.store, schema, spec.embed_dim)
 
     # ----- construction ----------------------------------------------------
 
-    def _build(self, rng: np.random.Generator) -> None:
-        spec, schema, store = self.spec, self.schema, self.store
+    def _init_arrays(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        """Initial value of every parameter, in store order.  The embedding
+        tables come first, so they form one block of the store."""
+        spec, schema = self.spec, self.schema
         ab = spec.ablation
         k = spec.embed_dim
 
         if spec.topology == "linear":
-            for fld in schema.fields:
-                width = fld.vocab_size + 1 if fld.kind == CATEGORICAL else 1
-                store.add(f"lin.{fld.name}", np.zeros(width))
-            store.add("lin.w0", np.zeros(1))
-            return
+            arrays = {
+                f"lin.{fld.name}": np.zeros(fld.vocab_size + 1 if fld.kind == CATEGORICAL else 1)
+                for fld in schema.fields
+            }
+            arrays["lin.w0"] = np.zeros(1)
+            return arrays
 
-        init_embedding(store, schema, k, rng)
+        arrays = init_embedding(schema, k, rng)
         m = schema.f * k
 
         if spec.topology == "dnn":
             width = m
             for l, q in enumerate(spec.block_widths, start=1):
-                store.add(f"mlp{l}.w", rng.normal(0.0, 1.0 / np.sqrt(width), size=(q, width)))
+                arrays[f"mlp{l}.w"] = rng.normal(0.0, 1.0 / np.sqrt(width), size=(q, width))
                 if spec.dnn_bias:
-                    store.add(f"mlp{l}.b", np.zeros(q))
+                    arrays[f"mlp{l}.b"] = np.zeros(q)
                 width = q
-            self._add_head(width)
-            return
+            return arrays | _head_arrays(width)
 
         if not ab.no_ln:
-            store.add("ln_emb.g", np.ones((schema.f, k)))
-            store.add("ln_emb.b", np.zeros((schema.f, k)))
+            arrays["ln_emb.g"] = np.ones((schema.f, k))
+            arrays["ln_emb.b"] = np.zeros((schema.f, k))
 
         width = m
         out_widths = []
         for i, q in enumerate(spec.block_widths, start=1):
             z = m if spec.topology == "parallel" or i == 1 else width
-            bp = BlockParams()
             if not ab.no_mask:
                 t = spec.reduction * z
-                bp.w1 = store.add(f"block{i}.mask.w1", rng.normal(0.0, 1.0 / np.sqrt(m), size=(t, m)))
-                bp.b1 = store.add(f"block{i}.mask.b1", np.zeros(t))
-                bp.w2 = store.add(f"block{i}.mask.w2", rng.normal(0.0, 1.0 / np.sqrt(t), size=(z, t)))
-                bp.b2 = store.add(f"block{i}.mask.b2", np.full(z, spec.mask_bias_init))
+                arrays[f"block{i}.mask.w1"] = rng.normal(0.0, 1.0 / np.sqrt(m), size=(t, m))
+                arrays[f"block{i}.mask.b1"] = np.zeros(t)
+                arrays[f"block{i}.mask.w2"] = rng.normal(0.0, 1.0 / np.sqrt(t), size=(z, t))
+                arrays[f"block{i}.mask.b2"] = np.full(z, spec.mask_bias_init)
             if not ab.no_ffn:
-                bp.w = store.add(f"block{i}.ffn.w", rng.normal(0.0, 1.0 / np.sqrt(z), size=(q, z)))
+                arrays[f"block{i}.ffn.w"] = rng.normal(0.0, 1.0 / np.sqrt(z), size=(q, z))
                 if not ab.no_ln:
-                    bp.g = store.add(f"block{i}.ln.g", np.ones(q))
-                    bp.b = store.add(f"block{i}.ln.b", np.zeros(q))
-            self._blocks.append(bp)
+                    arrays[f"block{i}.ln.g"] = np.ones(q)
+                    arrays[f"block{i}.ln.b"] = np.zeros(q)
             width = block_output_width(z, q, ab)
             out_widths.append(width)
 
         if spec.topology == "parallel":
             width = sum(out_widths)
             for l, q in enumerate(spec.top_widths, start=1):
-                store.add(f"mlp{l}.w", rng.normal(0.0, 1.0 / np.sqrt(width), size=(q, width)))
-                store.add(f"mlp{l}.b", np.zeros(q))
+                arrays[f"mlp{l}.w"] = rng.normal(0.0, 1.0 / np.sqrt(width), size=(q, width))
+                arrays[f"mlp{l}.b"] = np.zeros(q)
                 width = q
-        self._add_head(width)
-
-    def _add_head(self, width: int) -> None:
-        self.store.add("head.w", np.zeros(width))
-        self.store.add("head.w0", np.zeros(1))
+        return arrays | _head_arrays(width)
 
     def block_params(self, i: int) -> BlockParams:
         """1-based accessor, mirroring block parameter names."""
@@ -186,7 +189,7 @@ class Model:
             for j, fld in enumerate(self.schema.numerical):
                 logit = logit + p[f"lin.{fld.name}"][0] * num[:, j]
         else:
-            v_emb = embed_fwd(p, self.schema, cat, num, spec.embed_dim)
+            v_emb = embed_fwd(self._emb, self.schema, cat, num)
             cache["v_emb"] = v_emb
             if spec.topology == "dnn":
                 h = self._mlp_fwd(v_emb, len(spec.block_widths), cache)
@@ -287,7 +290,7 @@ class Model:
                 dln_e += dtarget
             dv_emb += self._ln_emb_bwd(dln_e, cache)
 
-        embed_bwd(dv_emb, g, self.schema, cat, num, spec.embed_dim)
+        embed_bwd(dv_emb, self._emb_grad, self.schema, cat, num)
 
     def _ln_emb_bwd(self, dtarget: np.ndarray, cache: dict) -> np.ndarray:
         """Route the gradient on the blocks' embedding target back to v_emb."""
@@ -301,7 +304,7 @@ class Model:
 
     def _accumulate_block(self, i: int, grads: dict[str, np.ndarray]) -> None:
         for key, val in grads.items():
-            self.store.grads[f"block{i}.{_BLOCK_GRAD_KEYS[key]}"] += val
+            self.store.grads[f"block{i}.{_BLOCK_KEYS[key]}"] += val
 
     def _mlp_bwd(self, dh: np.ndarray, cache: dict) -> np.ndarray:
         g = self.store.grads
@@ -331,6 +334,10 @@ class Model:
             raise ConfigError(f"model {self.spec.topology!r} (ablation={self.spec.ablation.names()}) has no mask units")
         _, cache = self.forward(cat, num)
         return [bc["mask"] for bc in cache["blocks"]]
+
+
+def _head_arrays(width: int) -> dict[str, np.ndarray]:
+    return {"head.w": np.zeros(width), "head.w0": np.zeros(1)}
 
 
 def relu_pattern(cache: dict) -> np.ndarray | None:
@@ -379,23 +386,21 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(model: Model, path: str) -> None:
     """One file: a JSON header line (spec, schema, array manifest) followed by
-    the raw little-endian float64 array bytes in manifest order."""
-    spec_dict = asdict(model.spec)
+    the raw little-endian float64 array bytes in manifest order, which is the
+    order of the store's parameter buffer."""
+    store = model.store
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "spec": spec_dict,
+        "spec": asdict(model.spec),
         "schema": [
             {"name": f.name, "kind": f.kind, "vocab": list(f.vocab)} for f in model.schema.fields
         ],
-        "arrays": [
-            {"name": n, "shape": list(model.store.params[n].shape)} for n in model.store.names()
-        ],
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in store.params.items()],
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for n in model.store.names():
-            fh.write(np.ascontiguousarray(model.store.params[n], dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(store.param_buf, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> Model:
@@ -406,10 +411,13 @@ def load_checkpoint(path: str) -> Model:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint header: {exc}") from None
-    if header.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    for key in ("schema", "spec", "arrays"):
+        if key not in header:
+            raise CheckpointError(f"{path}: checkpoint header has no {key!r} entry")
 
     schema = FeatureSchema(
         tuple(Field(f["name"], f["kind"], tuple(f["vocab"])) for f in header["schema"])
@@ -420,22 +428,17 @@ def load_checkpoint(path: str) -> Model:
     sd["top_widths"] = tuple(sd["top_widths"])
     model = Model(ModelSpec(**sd), schema)
 
+    store = model.store
     manifest = header["arrays"]
-    names = model.store.names()
-    if [a["name"] for a in manifest] != names:
+    if [a["name"] for a in manifest] != store.names():
         raise CheckpointError(f"{path}: array manifest does not match the rebuilt model")
-    offset = 0
     for entry in manifest:
-        arr = model.store.params[entry["name"]]
-        if list(arr.shape) != entry["shape"]:
-            raise CheckpointError(
-                f"{path}: shape mismatch for {entry['name']}: {entry['shape']} vs {list(arr.shape)}"
-            )
-        nbytes = arr.size * 8
-        if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated checkpoint payload")
-        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
-        offset += nbytes
-    if offset != len(blob):
+        shape = list(store.params[entry["name"]].shape)
+        if shape != entry["shape"]:
+            raise CheckpointError(f"{path}: shape mismatch for {entry['name']}: {entry['shape']} vs {shape}")
+    if len(blob) < store.size() * 8:
+        raise CheckpointError(f"{path}: truncated checkpoint payload")
+    if len(blob) > store.size() * 8:
         raise CheckpointError(f"{path}: trailing bytes in checkpoint payload")
+    store.param_buf[...] = np.frombuffer(blob, dtype="<f8")
     return model

@@ -24,64 +24,82 @@ from .errors import DimensionError, MaskNetError
 # prediction contract stay well-defined even for extreme logits.
 SIGMOID_FLOOR = 1e-15
 
+# ParamStore buffers start on a cache-line boundary.  malloc guarantees only
+# 16 bytes, and every array in a buffer inherits the buffer's offset, so each
+# process would otherwise give all of a model's weights one alignment of its
+# own, and with it its own speed of the BLAS and SIMD loops over them.
+CACHE_LINE = 64
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic PCG64 generator; `stream` separates independent uses."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 
-def assert_finite(name: str, *arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise MaskNetError(f"non-finite values in {name}")
+def _aligned_zeros(n: int) -> np.ndarray:
+    """n float64 zeros whose first element starts on a CACHE_LINE boundary."""
+    raw = np.zeros(n + CACHE_LINE // 8)
+    lo = (-raw.ctypes.data % CACHE_LINE) // 8
+    return raw[lo : lo + n]
 
 
 class ParamStore:
-    """Named float64 parameter arrays with matching gradient and Adam buffers.
+    """Every trainable array of a model, packed into flat float64 buffers.
 
-    Every parameter has exactly one gradient buffer of identical shape;
-    `zero_grads` is called at the start of each minibatch.  The Adam moment
-    buffers and the shared step counter live here so the optimizer is a pure
-    function of the store.
+    Four contiguous buffers of equal length, each starting on a cache line,
+    hold the parameters, their gradients and the Adam first and second
+    moments.  The store is built once from named arrays in order;
+    `params[name]` and `grads[name]` are writable views into the first two
+    buffers, so arrays handed out by name (block weights, embedding tables)
+    never go stale, and whole-model operations (`zero_grads`, `snapshot`, the
+    optimizer, checkpoints) are one pass over a buffer.
+    `zero_grads` is called at the start of each minibatch; the step counter
+    shared by every parameter lives here so the optimizer is a pure function
+    of the store.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, arrays: dict[str, np.ndarray]) -> None:
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+        n = sum(a.size for a in arrays.values())
+        self.param_buf, self.grad_buf, self.adam_m, self.adam_v = (_aligned_zeros(n) for _ in range(4))
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.adam_m: dict[str, np.ndarray] = {}
-        self.adam_v: dict[str, np.ndarray] = {}
+        self._slices: dict[str, slice] = {}
+        lo = 0
+        for name, a in arrays.items():
+            sl = slice(lo, lo + a.size)
+            self.params[name] = self.param_buf[sl].reshape(a.shape)
+            self.params[name][...] = a
+            self.grads[name] = self.grad_buf[sl].reshape(a.shape)
+            self._slices[name] = sl
+            lo = sl.stop
         self.step = 0
-
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        if name in self.params:
-            raise MaskNetError(f"duplicate parameter {name!r}")
-        arr = np.ascontiguousarray(value, dtype=np.float64)
-        self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-        self.adam_m[name] = np.zeros_like(arr)
-        self.adam_v[name] = np.zeros_like(arr)
-        return arr
 
     def names(self) -> list[str]:
         return list(self.params)
 
+    def span(self, names: list[str]) -> slice:
+        """Buffer slice covering `names`, which must be stored back to back."""
+        sl = [self._slices[n] for n in names]
+        if any(a.stop != b.start for a, b in zip(sl, sl[1:])):
+            raise MaskNetError(f"parameters {names} are not contiguous in the store")
+        return slice(sl[0].start, sl[-1].stop)
+
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g.fill(0.0)
+        self.grad_buf.fill(0.0)
 
     def size(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.param_buf.size
 
     def l2_sq(self) -> float:
         """Sum of squares over every parameter coordinate."""
-        return float(sum(float(np.dot(p.ravel(), p.ravel())) for p in self.params.values()))
+        return float(np.dot(self.param_buf, self.param_buf))
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
+    def snapshot(self) -> np.ndarray:
+        return self.param_buf.copy()
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for k, v in snap.items():
-            self.params[k][...] = v
+    def restore(self, snap: np.ndarray) -> None:
+        self.param_buf[...] = snap
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, STREAM_SHUFFLE
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .evaluate import auc
 from .model import Model, relu_pattern
 from .numeric import ParamStore, make_rng
 
 LOGLOSS_EPS = 1e-12
+
+# Elements per pass of the Adam update: its scratch stays in cache, and no
+# temporary grows with the model.
+ADAM_CHUNK = 8192
 
 
 @dataclass
@@ -33,7 +37,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        assert self.batch_size >= 1 and self.learning_rate > 0 and self.l2 >= 0
+        for name, ok, rule in (
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("l2", self.l2 >= 0, ">= 0"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("patience", self.patience >= 1, ">= 1"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("adam_eps", self.adam_eps > 0, "> 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def logloss(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -44,6 +59,12 @@ def logloss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def l2_penalty(store: ParamStore, lam: float) -> float:
     return lam * store.l2_sq() if lam > 0.0 else 0.0
+
+
+def add_l2_grad(store: ParamStore, lam: float) -> None:
+    """Add the gradient of lam * ||theta||^2 to every parameter's gradient."""
+    if lam > 0.0:
+        store.grad_buf += 2.0 * lam * store.param_buf
 
 
 def objective(model: Model, cat: np.ndarray, num: np.ndarray, labels: np.ndarray, lam: float) -> float:
@@ -60,27 +81,45 @@ def objective_closure(model: Model, cat: np.ndarray, num: np.ndarray, labels: np
         probs, cache = model.forward(cat, num)
         loss = logloss(probs, labels) + l2_penalty(store, lam)
         model.backward(cache, (probs - labels) / len(labels))
-        if lam > 0.0:
-            for name, param in store.params.items():
-                store.grads[name] += 2.0 * lam * param
+        add_l2_grad(store, lam)
         return loss, relu_pattern(cache)
 
     return f
 
 
 def adam_step(store: ParamStore, cfg: TrainConfig) -> None:
-    """Standard Adam with bias correction; one shared step counter per store."""
+    """Standard Adam with bias correction; one shared step counter per store.
+
+    Runs over the flat buffers in ADAM_CHUNK-element pieces with in-place
+    ufuncs, in the elementwise order of
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        p -= lr*(m/c1) / (sqrt(v/c2) + eps)
+    """
     store.step += 1
     t = store.step
-    c1 = 1.0 - cfg.beta1**t
-    c2 = 1.0 - cfg.beta2**t
-    for name in store.params:
-        g = store.grads[name]
-        m = store.adam_m[name]
-        v = store.adam_v[name]
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        store.params[name] -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+    b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.adam_eps
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    p, g, m, v = store.param_buf, store.grad_buf, store.adam_m, store.adam_v
+    scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
+    for lo in range(0, p.size, ADAM_CHUNK):
+        sl = slice(lo, lo + ADAM_CHUNK)
+        pc, gc, mc, vc = p[sl], g[sl], m[sl], v[sl]
+        s1, s2 = scratch[0, : pc.size], scratch[1, : pc.size]
+        np.multiply(mc, b1, out=mc)
+        np.multiply(gc, 1.0 - b1, out=s1)
+        np.add(mc, s1, out=mc)
+        np.multiply(gc, gc, out=s1)
+        np.multiply(s1, 1.0 - b2, out=s1)
+        np.multiply(vc, b2, out=vc)
+        np.add(vc, s1, out=vc)
+        np.divide(mc, c1, out=s1)
+        np.multiply(s1, lr, out=s1)
+        np.divide(vc, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, eps, out=s2)
+        np.divide(s1, s2, out=s1)
+        np.subtract(pc, s1, out=pc)
 
 
 @dataclass
@@ -125,9 +164,7 @@ def train(model: Model, train_ds: Dataset, valid_ds: Dataset | None, cfg: TrainC
                 hist.first_batch_loss = loss
             store.zero_grads()
             model.backward(cache, (probs - train_ds.labels[idx]) / len(idx))
-            if cfg.l2 > 0.0:
-                for name, param in store.params.items():
-                    store.grads[name] += 2.0 * cfg.l2 * param
+            add_l2_grad(store, cfg.l2)
             adam_step(store, cfg)
             loss_sum += loss * len(idx)
         train_loss = loss_sum / n

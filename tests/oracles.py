@@ -161,3 +161,15 @@ def adam_trace(theta0, grad_seq, lr, beta1, beta2, eps):
         theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
         out.append(theta)
     return out
+
+
+def o_adam_arrays(params, grads, m, v, t, lr, beta1, beta2, eps):
+    """One Adam step over per-array dicts, array by array, in place: the
+    update written as whole-array expressions with no shared buffer."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for name in params:
+        g = grads[name]
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+        params[name] = params[name] - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)

@@ -141,6 +141,33 @@ def test_inspect_mask_rejects_maskless_checkpoint(tmp_path):
     assert code == 1  # dnn checkpoint has no mask units
 
 
+def test_inspect_mask_rejects_header_without_schema(tmp_path, capsys):
+    import json
+
+    from masknet.data import SyntheticSpec, gen_synthetic
+    from masknet.model import Model, ModelSpec, save_checkpoint
+
+    schema = gen_synthetic(SyntheticSpec(fields=3, vocab=4, instances=20)).schema
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Model(ModelSpec(block_widths=(3,), embed_dim=2), schema), str(path))
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    del header["schema"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    cfg = write_config(tmp_path)
+    code = main(["inspect-mask", "--checkpoint", str(path), "--config", str(cfg), "--out", str(tmp_path / "i")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'schema'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--batch-size", "--epochs"])
+def test_train_zero_size_flag_is_usage_error(tmp_path, flag):
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), flag, "0"]) == 2
+    assert not (tmp_path / "run1" / "checkpoint.ckpt").exists()
+
+
 def test_sweep_command(tmp_path):
     cfg = write_config(tmp_path, out_name="sweep_out")
     code = main(["sweep", "--config", str(cfg), "--param", "blocks", "--values", "1,2",

@@ -189,3 +189,18 @@ def test_standardize_uses_train_stats():
     # valid/test shifted by the same train statistics
     shift = (va.num - va2.num * tr.num.std()).mean()
     assert shift == pytest.approx(tr.num.mean(), rel=1e-9)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_numerical_cell_names_line_and_field(token):
+    raw = read_delimited(csv_of(["a,1.0,0", f"b,{token},1", "a,3.0,0"]), COLS)
+    with pytest.raises(IngestError, match=r"line 3: field 'size'.*not finite"):
+        build_schema_and_encode(raw)
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf"])
+def test_non_finite_logit_cell_names_line_and_field(token):
+    cols = COLS + [ColumnSpec("true_logit", "logit")]
+    text = "color,size,label,true_logit\na,1.0,0,0.5\na,2.0,1,0.25\n" + f"b,2.0,1,{token}\n"
+    with pytest.raises(IngestError, match=r"line 4: logit 'true_logit'.*not finite"):
+        build_schema_and_encode(read_delimited(text, cols))

@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 from conftest import random_batch, small_schema
-from masknet.data import CATEGORICAL, Field, FeatureSchema
-from masknet.embedding import embed_bwd, embed_fwd, init_embedding
+from masknet.data import CATEGORICAL, NUMERICAL, Field, FeatureSchema
+from masknet.embedding import embed_bwd, embed_fwd, embedding_tables, init_embedding
 from masknet.errors import SchemaError
 from masknet.numeric import ParamStore, make_rng
 from oracles import o_embed
 
 
 def build(schema, k, seed=0):
-    store = ParamStore()
-    init_embedding(store, schema, k, make_rng(seed, 0))
-    return store
+    """(store, (R, k) parameter table, (R, k) gradient table)."""
+    store = ParamStore(init_embedding(schema, k, make_rng(seed, 0)))
+    return (store, *embedding_tables(store, schema, k))
 
 
 def test_lookup_equals_onehot_matmul(rng):
     schema = small_schema(f_cat=3, f_num=2, vocab=4)
-    store = build(schema, k=3)
+    store, table, _ = build(schema, k=3)
     cat, num, _ = random_batch(schema, rng, n=6)
-    v = embed_fwd(store.params, schema, cat, num, 3)
+    v = embed_fwd(table, schema, cat, num)
     assert v.shape == (6, schema.f * 3)
     for i in range(6):
         expect = o_embed(schema, store.params, cat[i], num[i], 3)
@@ -28,37 +28,37 @@ def test_lookup_equals_onehot_matmul(rng):
 
 def test_numerical_zero_value_contributes_zero():
     schema = small_schema(f_cat=1, f_num=1, vocab=2)
-    store = build(schema, k=4)
+    _, table, _ = build(schema, k=4)
     cat = np.array([[0]], dtype=np.int64)
     num = np.array([[0.0]])
-    v = embed_fwd(store.params, schema, cat, num, 4)
+    v = embed_fwd(table, schema, cat, num)
     assert np.array_equal(v[0, 4:], np.zeros(4))
 
 
 def test_width_is_fields_times_k():
     fields = tuple(Field(f"f{i}", CATEGORICAL, tuple(f"v{j}" for j in range(5))) for i in range(39))
     schema = FeatureSchema(fields)
-    store = build(schema, k=10)
+    _, table, _ = build(schema, k=10)
     cat = np.zeros((2, 39), dtype=np.int64)
     num = np.zeros((2, 0))
-    assert embed_fwd(store.params, schema, cat, num, 10).shape == (2, 390)
+    assert embed_fwd(table, schema, cat, num).shape == (2, 390)
 
 
 def test_out_of_range_index_rejected():
     schema = small_schema(f_cat=1, f_num=0, vocab=2)
-    store = build(schema, k=2)
+    _, table, _ = build(schema, k=2)
     bad = np.array([[3]], dtype=np.int64)  # vocab 2 + OOV slot allows max 2
     with pytest.raises(SchemaError, match="c0"):
-        embed_fwd(store.params, schema, bad, np.zeros((1, 0)), 2)
+        embed_fwd(table, schema, bad, np.zeros((1, 0)))
 
 
 def test_gradient_sparsity_untouched_rows(rng):
     schema = small_schema(f_cat=1, f_num=0, vocab=5)
-    store = build(schema, k=3)
+    store, _, gtable = build(schema, k=3)
     cat = np.array([[1], [1], [4]], dtype=np.int64)
     num = np.zeros((3, 0))
     dv = rng.normal(size=(3, 3))
-    embed_bwd(dv, store.grads, schema, cat, num, 3)
+    embed_bwd(dv, gtable, schema, cat, num)
     g = store.grads["emb.c0"]
     for row in (0, 2, 3, 5):  # categories absent from the batch (5 is OOV)
         assert np.array_equal(g[row], np.zeros(3)), row
@@ -68,8 +68,41 @@ def test_gradient_sparsity_untouched_rows(rng):
 
 def test_numerical_gradient_scaled_by_value():
     schema = small_schema(f_cat=0, f_num=1, vocab=0)
-    store = build(schema, k=2)
+    store, _, gtable = build(schema, k=2)
     num = np.array([[2.0], [-3.0]])
     dv = np.ones((2, 2))
-    embed_bwd(dv, store.grads, schema, np.zeros((2, 0), dtype=np.int64), num, 2)
+    embed_bwd(dv, gtable, schema, np.zeros((2, 0), dtype=np.int64), num)
     assert np.allclose(store.grads["emb.x0"], (2.0 - 3.0) * np.ones(2))
+
+
+def test_mixed_schema_with_oov_matches_oracle(rng):
+    fields = (
+        Field("a", CATEGORICAL, ("x", "y", "z")),
+        Field("u", NUMERICAL),
+        Field("b", CATEGORICAL, ("p",)),
+        Field("c", CATEGORICAL, ("q", "r")),
+        Field("w", NUMERICAL),
+    )
+    schema = FeatureSchema(fields)
+    store, table, _ = build(schema, k=4, seed=3)
+    cat = np.array([[0, 1, 2], [3, 0, 1], [3, 1, 2], [2, 0, 0]], dtype=np.int64)  # 3, 1, 2 are OOV
+    num = rng.normal(size=(4, 2))
+    v = embed_fwd(table, schema, cat, num)
+    assert v.shape == (4, 5 * 4)
+    for i in range(4):
+        assert np.array_equal(v[i], o_embed(schema, store.params, cat[i], num[i], 4))
+
+
+def test_out_of_range_index_names_its_field():
+    fields = (
+        Field("a", CATEGORICAL, ("x", "y")),
+        Field("u", NUMERICAL),
+        Field("b", CATEGORICAL, ("p",)),
+    )
+    schema = FeatureSchema(fields)
+    _, table, _ = build(schema, k=2)
+    num = np.zeros((2, 1))
+    with pytest.raises(SchemaError, match="'b'"):
+        embed_fwd(table, schema, np.array([[2, 0], [0, 2]], dtype=np.int64), num)
+    with pytest.raises(SchemaError, match="'a'"):
+        embed_fwd(table, schema, np.array([[-1, 0], [0, 0]], dtype=np.int64), num)

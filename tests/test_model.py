@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,35 @@ def test_checkpoint_round_trip_ablated_spec(tmp_path, rng):
     assert np.array_equal(a, b)
 
 
+def test_checkpoint_file_is_header_plus_arrays_in_manifest_order(tmp_path):
+    schema = small_schema(f_cat=2, f_num=1, vocab=3)
+    spec = ModelSpec(topology="serial", block_widths=(3, 2), embed_dim=2, seed=12)
+    model = with_random_head(Model(spec, schema))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    data = path.read_bytes()
+    header_line = data.split(b"\n", 1)[0]
+    header = json.loads(header_line)
+    assert [a["name"] for a in header["arrays"]] == model.store.names()
+    payload = b"".join(
+        np.asarray(model.store.params[a["name"]], dtype="<f8").tobytes() for a in header["arrays"]
+    )
+    assert data == header_line + b"\n" + payload
+
+
+@pytest.mark.parametrize("key", ["schema", "spec", "arrays"])
+def test_checkpoint_header_missing_entry_rejected(tmp_path, key):
+    model = Model(ModelSpec(topology="linear", block_widths=()), small_schema())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    del header[key]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"\x00\x01 not a checkpoint\n")
@@ -223,6 +254,21 @@ def test_checkpoint_rejects_truncated(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("topo", ["serial", "parallel", "dnn", "linear"])
+def test_every_model_array_is_a_view_of_the_store(topo):
+    spec = ModelSpec(topology=topo, block_widths=(3, 2), top_widths=(4,), embed_dim=2, seed=13)
+    model = Model(spec, small_schema())
+    store = model.store
+    for name in store.names():
+        assert np.shares_memory(store.params[name], store.param_buf), name
+        assert np.shares_memory(store.grads[name], store.grad_buf), name
+    if topo in ("serial", "parallel"):
+        for i in range(1, spec.u + 1):
+            bp = model.block_params(i)
+            for key, arr in vars(bp).items():
+                assert arr is not None and np.shares_memory(arr, store.param_buf), (i, key)
 
 
 def test_mask_values_requires_mask_units():

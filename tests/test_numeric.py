@@ -3,6 +3,7 @@ import pytest
 
 from masknet.errors import DimensionError, MaskNetError
 from masknet.numeric import (
+    CACHE_LINE,
     GradcheckReport,
     ParamStore,
     affine_bwd,
@@ -35,10 +36,7 @@ def test_affine_shape_mismatch_names_operands():
 
 
 def test_affine_gradcheck(rng):
-    store = ParamStore()
-    store.add("w", rng.normal(size=(4, 3)))
-    store.add("b", rng.normal(size=4))
-    store.add("x", rng.normal(size=(1, 3)))
+    store = ParamStore({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4), "x": rng.normal(size=(1, 3))})
     u = rng.normal(size=(1, 4))
 
     def f(store):
@@ -82,8 +80,7 @@ def test_sigmoid_matches_definition():
 
 
 def test_gradcheck_quadratic_self_test():
-    store = ParamStore()
-    store.add("theta", np.array([3.0]))
+    store = ParamStore({"theta": np.array([3.0])})
 
     def f(store):
         th = store.params["theta"][0]
@@ -96,8 +93,7 @@ def test_gradcheck_quadratic_self_test():
 
 
 def test_gradcheck_reports_nonfinite():
-    store = ParamStore()
-    store.add("theta", np.array([0.0]))
+    store = ParamStore({"theta": np.array([0.0])})
 
     def f(store):
         th = store.params["theta"][0]
@@ -109,27 +105,36 @@ def test_gradcheck_reports_nonfinite():
 
 
 def test_gradcheck_rejects_bad_step():
-    store = ParamStore()
-    store.add("t", np.ones(1))
+    store = ParamStore({"t": np.ones(1)})
     with pytest.raises(MaskNetError):
         gradcheck(lambda s: (0.0, None), store, h=1e-2)
 
 
 def test_param_store_invariants(rng):
-    store = ParamStore()
-    a = store.add("a", rng.normal(size=(2, 3)))
-    with pytest.raises(MaskNetError):
-        store.add("a", np.zeros(1))
+    a0 = rng.normal(size=(2, 3))
+    store = ParamStore({"a": a0, "c": np.arange(4.0)})
+    a = store.params["a"]
+    assert np.array_equal(a, a0) and a is not a0
     assert store.grads["a"].shape == a.shape
+    assert store.names() == ["a", "c"]
+    assert np.array_equal(store.param_buf, np.concatenate([a0.ravel(), np.arange(4.0)]))
+    for buf in (store.param_buf, store.grad_buf, store.adam_m, store.adam_v):
+        assert buf.size == 10 and buf.ctypes.data % CACHE_LINE == 0
     store.grads["a"] += 1.0
     store.zero_grads()
     assert np.array_equal(store.grads["a"], np.zeros((2, 3)))
-    assert store.size() == 6
-    assert store.l2_sq() == pytest.approx(float((a * a).sum()))
+    assert store.size() == 10
+    assert store.l2_sq() == pytest.approx(float((a * a).sum()) + 14.0)
     snap = store.snapshot()
+    saved = a.copy()
     a += 5.0
     store.restore(snap)
-    assert np.array_equal(store.params["a"], snap["a"])
+    assert np.array_equal(store.params["a"], saved)
+    store.params["c"][...] = 7.0
+    assert np.array_equal(store.param_buf[6:], np.full(4, 7.0))
+    assert store.span(["a", "c"]) == slice(0, 10)
+    with pytest.raises(MaskNetError):
+        store.span(["c", "a"])
 
 
 def test_rng_determinism_and_streams():

@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from masknet.data import SyntheticSpec, gen_synthetic, split_dataset
-from masknet.errors import TrainingError
+from masknet.errors import ConfigError, TrainingError
 from masknet.maskblock import Ablation
 from masknet.model import Model, ModelSpec
 from masknet.numeric import ParamStore, gradcheck, make_rng
-from masknet.train import TrainConfig, adam_step, logloss, objective, objective_closure, train
-from oracles import adam_trace
+from masknet.train import (
+    ADAM_CHUNK,
+    TrainConfig,
+    adam_step,
+    add_l2_grad,
+    logloss,
+    objective,
+    objective_closure,
+    train,
+)
+from oracles import adam_trace, o_adam_arrays
 
 
 def test_logloss_values():
@@ -56,16 +65,14 @@ def test_full_objective_gradcheck_with_l2():
 
 
 def test_adam_zero_gradient_is_noop():
-    store = ParamStore()
-    store.add("w", np.array([1.0, -2.0]))
+    store = ParamStore({"w": np.array([1.0, -2.0])})
     adam_step(store, TrainConfig(learning_rate=0.1))
     assert np.array_equal(store.params["w"], [1.0, -2.0])
     assert store.step == 1
 
 
 def test_adam_first_step_is_sign_scaled():
-    store = ParamStore()
-    store.add("w", np.zeros(3))
+    store = ParamStore({"w": np.zeros(3)})
     store.grads["w"] += np.array([0.5, -3.0, 1e-3])
     cfg = TrainConfig(learning_rate=0.01)
     adam_step(store, cfg)
@@ -75,8 +82,7 @@ def test_adam_first_step_is_sign_scaled():
 
 
 def test_adam_two_step_trace_matches_oracle():
-    store = ParamStore()
-    store.add("w", np.array([0.7]))
+    store = ParamStore({"w": np.array([0.7])})
     cfg = TrainConfig(learning_rate=0.05, beta1=0.9, beta2=0.999, adam_eps=1e-8)
     grads = [0.3, -1.2]
     expect = adam_trace(0.7, grads, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
@@ -87,6 +93,48 @@ def test_adam_two_step_trace_matches_oracle():
         adam_step(store, cfg)
         seen.append(float(store.params["w"][0]))
     assert seen == pytest.approx(expect, abs=1e-15)
+
+
+def test_adam_step_matches_per_array_reference_bitwise(rng):
+    shapes = {"emb": (900, 10), "w": (40, 37), "b": (40,), "s": (1,), "t": (3, 5, 7)}
+    init = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    store = ParamStore(init)
+    assert store.size() > ADAM_CHUNK
+    ref = {k: a.copy() for k, a in init.items()}
+    ref_m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    ref_v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    cfg = TrainConfig(learning_rate=1e-2, l2=1e-3)
+    for t in range(1, 7):
+        grads = {k: rng.normal(size=shape) * (rng.random(shape) < 0.7) for k, shape in shapes.items()}
+        store.zero_grads()
+        for k, g in grads.items():
+            store.grads[k] += g
+        add_l2_grad(store, cfg.l2)
+        adam_step(store, cfg)
+        ref_g = {k: grads[k] + 2.0 * cfg.l2 * ref[k] for k in shapes}
+        o_adam_arrays(ref, ref_g, ref_m, ref_v, t, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        for k in shapes:
+            assert np.array_equal(store.params[k], ref[k]), (t, k)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"batch_size": 0},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1.0},
+        {"l2": -1e-3},
+        {"epochs": 0},
+        {"patience": 0},
+        {"beta1": 1.0},
+        {"beta1": -0.1},
+        {"beta2": 1.0},
+        {"adam_eps": 0.0},
+    ],
+)
+def test_train_config_rejects_bad_values(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        TrainConfig(**bad)
 
 
 @pytest.mark.parametrize("topo", ["serial", "parallel", "dnn", "linear"])
