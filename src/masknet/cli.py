@@ -13,7 +13,7 @@ import argparse
 import configparser
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .data import (
@@ -29,14 +29,16 @@ from .data import (
     split_dataset,
     standardize_numerical,
 )
-from .errors import CheckpointError, ConfigError, MaskNetError, MetricError
+from .errors import CheckpointError, ConfigError, MaskNetError, MetricError, check_finite_fields
 from .evaluate import inspect_masks
 from .experiments import run_ablation_grid, run_experiment
 from .gradchecks import run_suite
-from .layers import DEFAULT_LN_EPS
 from .maskblock import Ablation
 from .model import ModelSpec, load_checkpoint, param_count, save_checkpoint
 from .train import TrainConfig
+
+
+_DELIMITERS = {"comma": ",", "tab": "\t"}
 
 
 @dataclass
@@ -46,12 +48,21 @@ class DataConfig:
     schema: str = ""
     delimiter: str = "comma"  # comma | tab
     standardize: bool = False
-    fields: int = 8
-    vocab: int = 50
-    latent_dim: int = 4
-    instances: int = 60_000
-    logit_scale: float = 4.0
+    fields: int = SyntheticSpec.fields
+    vocab: int = SyntheticSpec.vocab
+    latent_dim: int = SyntheticSpec.latent_dim
+    instances: int = SyntheticSpec.instances
+    logit_scale: float = SyntheticSpec.logit_scale
     seed: int = -1  # -1: inherit the run seed
+
+    def __post_init__(self) -> None:
+        check_finite_fields(self)
+        if self.source not in ("synthetic", "csv"):
+            raise ConfigError(f"unknown data source {self.source!r} (use synthetic or csv)")
+        if self.delimiter not in _DELIMITERS:
+            raise ConfigError(f"unknown delimiter {self.delimiter!r} (use comma or tab)")
+        if self.seed < -1:
+            raise ConfigError(f"[data] seed must be >= 0, or -1 to inherit the run seed, got {self.seed}")
 
 
 @dataclass
@@ -63,39 +74,31 @@ class RunConfig:
     out_dir: str = "runs/out"
 
 
-_KNOWN_KEYS = {
-    "data": {
-        "source", "path", "schema", "delimiter", "standardize",
-        "fields", "vocab", "latent_dim", "instances", "logit_scale", "seed",
-    },
-    "model": {
-        "topology", "blocks", "width", "top_widths", "embed_dim",
-        "reduction", "ablate", "mask_bias_init", "ln_eps",
-    },
-    "train": {
-        "batch_size", "learning_rate", "beta1", "beta2", "adam_eps",
-        "l2", "epochs", "patience",
-    },
-    "run": {"seed", "out_dir"},
+def _defaults(cls, *drop: str) -> dict[str, object]:
+    return {f.name: f.default for f in fields(cls) if f.name not in drop and f.default is not MISSING}
+
+
+# Every config key and its default, read off the dataclasses.  [model] spells
+# block_widths as blocks x width and the ablation as a comma list; the seeds
+# of the model and the optimizer come from [run].
+_SECTIONS: dict[str, dict[str, object]] = {
+    "data": _defaults(DataConfig),
+    "model": _defaults(ModelSpec, "block_widths", "dnn_bias", "seed")
+    | {"blocks": len(ModelSpec.block_widths), "width": ModelSpec.block_widths[0], "ablate": ""},
+    "train": _defaults(TrainConfig, "seed"),
+    "run": _defaults(RunConfig),
 }
 
 
-def _parse_bool(v: str) -> bool:
-    if v.lower() in ("true", "1", "yes"):
-        return True
-    if v.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {v!r}")
-
-
-def _parse_widths(v: str) -> tuple[int, ...]:
-    v = v.strip()
-    if not v:
-        return ()
-    try:
-        return tuple(int(p) for p in v.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {v!r}") from None
+def _parse_value(text: str, default: object) -> object:
+    """Parse by the type of the key's default: bool, tuple of ints, int, float or str."""
+    if isinstance(default, bool):
+        if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise ValueError(f"expected a boolean, got {text!r}")
+        return text.lower() in ("true", "1", "yes")
+    if isinstance(default, tuple):
+        return tuple(int(p) for p in text.split(",")) if text.strip() else ()
+    return type(default)(text)
 
 
 def parse_config_file(path: str) -> dict[str, dict[str, str]]:
@@ -109,64 +112,28 @@ def parse_config_file(path: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"{path}: {exc}") from None
     raw: dict[str, dict[str, str]] = {}
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown config section [{section}]")
         for key, value in cp[section].items():
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             raw.setdefault(section, {})[key] = value
     return raw
 
 
 def build_run_config(raw: dict[str, dict[str, str]]) -> RunConfig:
-    d = raw.get("data", {})
-    m = raw.get("model", {})
-    t = raw.get("train", {})
-    r = raw.get("run", {})
-    try:
-        data = DataConfig(
-            source=d.get("source", "synthetic"),
-            path=d.get("path", ""),
-            schema=d.get("schema", ""),
-            delimiter=d.get("delimiter", "comma"),
-            standardize=_parse_bool(d.get("standardize", "false")),
-            fields=int(d.get("fields", 8)),
-            vocab=int(d.get("vocab", 50)),
-            latent_dim=int(d.get("latent_dim", 4)),
-            instances=int(d.get("instances", 60000)),
-            logit_scale=float(d.get("logit_scale", 4.0)),
-            seed=int(d.get("seed", -1)),
-        )
-        seed = int(r.get("seed", 1))
-        blocks = int(m.get("blocks", 3))
-        width = int(m.get("width", 64))
-        model = ModelSpec(
-            topology=m.get("topology", "serial"),
-            block_widths=(width,) * blocks,
-            top_widths=_parse_widths(m.get("top_widths", "64,64")),
-            embed_dim=int(m.get("embed_dim", 10)),
-            reduction=int(m.get("reduction", 2)),
-            ablation=Ablation.from_names(
-                n.strip() for n in m.get("ablate", "").split(",") if n.strip()
-            ),
-            mask_bias_init=float(m.get("mask_bias_init", 0.0)),
-            ln_eps=float(m.get("ln_eps", DEFAULT_LN_EPS)),
-            seed=seed,
-        )
-        train = TrainConfig(
-            batch_size=int(t.get("batch_size", 1024)),
-            learning_rate=float(t.get("learning_rate", 1e-4)),
-            beta1=float(t.get("beta1", 0.9)),
-            beta2=float(t.get("beta2", 0.999)),
-            adam_eps=float(t.get("adam_eps", 1e-8)),
-            l2=float(t.get("l2", 0.0)),
-            epochs=int(t.get("epochs", 20)),
-            patience=int(t.get("patience", 5)),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
-    return RunConfig(data=data, model=model, train=train, seed=seed, out_dir=r.get("out_dir", "runs/out"))
+    v = {section: dict(keys) for section, keys in _SECTIONS.items()}
+    for section, values in raw.items():
+        for key, text in values.items():
+            try:
+                v[section][key] = _parse_value(text, _SECTIONS[section][key])
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    m, seed = v["model"], v["run"]["seed"]
+    blocks, width, ablate = m.pop("blocks"), m.pop("width"), m.pop("ablate")
+    ablation = Ablation.from_names(n.strip() for n in ablate.split(",") if n.strip())
+    model = ModelSpec(block_widths=(width,) * blocks, ablation=ablation, seed=seed, **m)
+    return RunConfig(DataConfig(**v["data"]), model, TrainConfig(seed=seed, **v["train"]), **v["run"])
 
 
 def _apply_overrides(raw: dict[str, dict[str, str]], args: argparse.Namespace) -> None:
@@ -194,34 +161,22 @@ def load_splits(cfg: RunConfig) -> tuple[tuple[Dataset, Dataset, Dataset], Synth
     """Materialize (train, valid, test) from the configured source."""
     data_seed = cfg.data.seed if cfg.data.seed >= 0 else cfg.seed
     if cfg.data.source == "synthetic":
-        spec = SyntheticSpec(
-            fields=cfg.data.fields,
-            vocab=cfg.data.vocab,
-            latent_dim=cfg.data.latent_dim,
-            instances=cfg.data.instances,
-            logit_scale=cfg.data.logit_scale,
-            seed=data_seed,
-        )
+        spec = SyntheticSpec(**{f.name: getattr(cfg.data, f.name) for f in fields(SyntheticSpec)} | {"seed": data_seed})
         full = gen_synthetic(spec)
         splits = split_dataset(full, cfg.seed)
         return splits, spec, full
-    if cfg.data.source == "csv":
-        if not cfg.data.path or not cfg.data.schema:
-            raise ConfigError("csv source needs both [data] path and [data] schema")
-        data_path, schema_path = Path(cfg.data.path), Path(cfg.data.schema)
-        if not data_path.is_file():
-            raise ConfigError(f"data file not found: {data_path}")
-        if not schema_path.is_file():
-            raise ConfigError(f"schema file not found: {schema_path}")
-        delim = {"comma": ",", "tab": "\t"}.get(cfg.data.delimiter)
-        if delim is None:
-            raise ConfigError(f"unknown delimiter {cfg.data.delimiter!r} (use comma or tab)")
-        cols = parse_column_spec(schema_path.read_text())
-        _, train_ds, valid_ds, test_ds = ingest_csv(data_path.read_text(), cols, cfg.seed, delim)
-        if cfg.data.standardize:
-            train_ds, valid_ds, test_ds = standardize_numerical(train_ds, valid_ds, test_ds)
-        return (train_ds, valid_ds, test_ds), None, None
-    raise ConfigError(f"unknown data source {cfg.data.source!r} (use synthetic or csv)")
+    if not cfg.data.path or not cfg.data.schema:
+        raise ConfigError("csv source needs both [data] path and [data] schema")
+    data_path, schema_path = Path(cfg.data.path), Path(cfg.data.schema)
+    if not data_path.is_file():
+        raise ConfigError(f"data file not found: {data_path}")
+    if not schema_path.is_file():
+        raise ConfigError(f"schema file not found: {schema_path}")
+    cols = parse_column_spec(schema_path.read_text())
+    _, train_ds, valid_ds, test_ds = ingest_csv(data_path.read_text(), cols, cfg.seed, _DELIMITERS[cfg.data.delimiter])
+    if cfg.data.standardize:
+        train_ds, valid_ds, test_ds = standardize_numerical(train_ds, valid_ds, test_ds)
+    return (train_ds, valid_ds, test_ds), None, None
 
 
 def _out_dir(path: str) -> Path:
@@ -236,16 +191,7 @@ def _out_dir(path: str) -> Path:
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
-    if args.fields < 2 or args.instances < 10 or args.vocab < 1 or args.latent_dim < 1:
-        raise ConfigError("gen-synth needs fields >= 2, vocab >= 1, latent-dim >= 1, instances >= 10")
-    spec = SyntheticSpec(
-        fields=args.fields,
-        vocab=args.vocab,
-        latent_dim=args.latent_dim,
-        instances=args.instances,
-        logit_scale=args.scale,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     full = gen_synthetic(spec)
     splits = split_dataset(full, args.seed)
     out = _out_dir(args.out)
@@ -366,11 +312,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     summary = []
     base_raw = parse_config_file(args.config)
     _apply_overrides(base_raw, args)
-    base_out = build_run_config(base_raw).out_dir
-    for v in values:
-        raw = {s: dict(kv) for s, kv in base_raw.items()}
-        raw.setdefault(section, {})[key] = v
-        cfg = build_run_config(raw)
+    # every value is checked before the first run trains
+    runs = [(v, build_run_config(base_raw | {section: base_raw.get(section, {}) | {key: v}})) for v in values]
+    base_out = runs[0][1].out_dir
+    for v, cfg in runs:
         splits, _, _ = load_splits(cfg)
         out = _out_dir(str(Path(base_out) / f"sweep_{args.param}_{v}"))
         model, result = run_experiment(cfg.model, splits, cfg.train, label=f"{args.param}={v}")
@@ -393,12 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-synth", help="generate the synthetic multiplicative-interaction dataset")
     g.add_argument("--out", default="data/synth")
-    g.add_argument("--fields", type=int, default=8)
-    g.add_argument("--vocab", type=int, default=50)
-    g.add_argument("--latent-dim", type=int, default=4)
-    g.add_argument("--instances", type=int, default=60_000)
-    g.add_argument("--scale", type=float, default=4.0)
-    g.add_argument("--seed", type=int, default=1)
+    for f in fields(SyntheticSpec):  # --fields --vocab --latent-dim --instances --scale --seed
+        flag = "--scale" if f.name == "logit_scale" else "--" + f.name.replace("_", "-")
+        g.add_argument(flag, type=type(f.default), default=f.default, dest=f.name)
     g.set_defaults(func=cmd_gen_synth)
 
     def add_train_flags(p):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, SchemaError
+from .errors import ConfigError, IngestError, SchemaError, check_finite_fields
 from .numeric import make_rng, sigmoid
 
 CATEGORICAL = "categorical"
@@ -361,6 +361,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     """
     if spec.fields < 2 or spec.latent_dim < 1 or spec.instances < 1 or spec.vocab < 1:
         raise ConfigError(f"invalid synthetic spec: {spec}")
+    check_finite_fields(spec)
     rng = make_rng(spec.seed, STREAM_SYNTH)
     f, nv, d, n = spec.fields, spec.vocab, spec.latent_dim, spec.instances
     latents = rng.normal(0.0, 1.0, size=(f, nv, d)) / np.sqrt(d)

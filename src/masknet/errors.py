@@ -4,6 +4,9 @@ The CLI maps these onto distinct exit codes: configuration/usage problems
 exit 2, undefined metrics exit 3, everything else exits 1.
 """
 
+import math
+from dataclasses import fields
+
 
 class MaskNetError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,3 +38,11 @@ class CheckpointError(MaskNetError):
 
 class TrainingError(MaskNetError):
     """Training aborted (non-finite loss); message names the batch."""
+
+
+def check_finite_fields(config) -> None:
+    """Raise ConfigError naming the first float field of a dataclass that is nan or inf."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")

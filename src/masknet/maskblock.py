@@ -1,10 +1,10 @@
 """MaskBlock: instance-guided mask + feed-forward layer + layer norm.
 
-Two variants share one core and differ only in what gets masked: the first
-kind masks the (per-field normalized) instance embedding, the second masks
-the previous block's output.  The mask unit itself always reads the raw
-instance embedding.  Ablation switches remove one component at a time so a
-stack of blocks can be collapsed back to a plain MLP for equivalence checks.
+One core serves both kinds of block, which differ only in what gets masked:
+the (per-field normalized) instance embedding, or the previous block's
+output.  The mask unit itself always reads the raw instance embedding.
+Ablation switches remove one component at a time so a stack of blocks can be
+collapsed back to a plain MLP for equivalence checks.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
+from .errors import ConfigError
 from .layers import (
     apply_mask,
     apply_mask_bwd,
@@ -36,7 +37,7 @@ class Ablation:
         names = list(names)
         for n in names:
             if n not in valid:
-                raise ValueError(f"unknown ablation {n!r}; expected one of {sorted(valid)}")
+                raise ConfigError(f"unknown ablation {n!r}; expected one of {sorted(valid)}")
         return cls(**{n: True for n in names})
 
     def names(self) -> list[str]:
@@ -117,22 +118,6 @@ def maskblock_bwd(
     grads["w2"] = dw2
     grads["b2"] = db2
     return dv, dtarget, grads
-
-
-def block_on_embedding_fwd(
-    v_emb: np.ndarray, ln_e: np.ndarray | None, p: BlockParams, ab: Ablation, eps: float
-) -> tuple[np.ndarray, dict]:
-    """Block whose masked target is the per-field-normalized embedding
-    (or the raw embedding when LN is ablated)."""
-    target = v_emb if ab.no_ln else ln_e
-    return maskblock_fwd(v_emb, target, p, ab, eps)
-
-
-def block_on_block_fwd(
-    v_emb: np.ndarray, v_prev: np.ndarray, p: BlockParams, ab: Ablation, eps: float
-) -> tuple[np.ndarray, dict]:
-    """Block whose masked target is the previous block's output."""
-    return maskblock_fwd(v_emb, v_prev, p, ab, eps)
 
 
 def block_relu_pre(cache: dict, ab: Ablation) -> list[np.ndarray]:

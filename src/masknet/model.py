@@ -23,16 +23,15 @@ import numpy as np
 
 from .data import CATEGORICAL, Dataset, FeatureSchema, Field
 from .embedding import embed_bwd, embed_fwd, embedding_tables, init_embedding
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, check_finite_fields
 from .layers import DEFAULT_LN_EPS, ln_emb_bwd, ln_emb_fwd
 from .maskblock import (
     Ablation,
     BlockParams,
-    block_on_block_fwd,
-    block_on_embedding_fwd,
     block_output_width,
     block_relu_pre,
     maskblock_bwd,
+    maskblock_fwd,
 )
 from .numeric import ParamStore, affine_bwd, affine_fwd, make_rng, relu_bwd, relu_fwd, sigmoid
 
@@ -68,6 +67,7 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}")
         if self.topology != "linear":
@@ -77,6 +77,10 @@ class ModelSpec:
                 raise ConfigError(f"bad block widths {self.block_widths}")
         if self.reduction < 1 or int(self.reduction) != self.reduction:
             raise ConfigError(f"reduction ratio must be a positive integer, got {self.reduction}")
+        if any(w < 1 for w in self.top_widths):
+            raise ConfigError(f"top_widths must be >= 1, got {self.top_widths}")
+        if not self.ln_eps > 0:
+            raise ConfigError(f"ln_eps must be > 0, got {self.ln_eps!r}")
 
     @property
     def u(self) -> int:
@@ -194,28 +198,24 @@ class Model:
             if spec.topology == "dnn":
                 h = self._mlp_fwd(v_emb, len(spec.block_widths), cache)
             else:
-                if ab.no_ln:
-                    ln_e = None
-                else:
-                    ln_e, ln_cache = ln_emb_fwd(
+                # the first serial block and every parallel block mask the
+                # per-field-normalized embedding (the raw one when LN is ablated)
+                emb_target = v_emb
+                if not ab.no_ln:
+                    emb_target, cache["ln_cache"] = ln_emb_fwd(
                         v_emb, p["ln_emb.g"], p["ln_emb.b"], spec.embed_dim, spec.ln_eps
                     )
-                    cache["ln_cache"] = ln_cache
                 bcaches = []
                 if spec.topology == "serial":
-                    h = None
-                    for i in range(1, spec.u + 1):
-                        bp = self._blocks[i - 1]
-                        if i == 1:
-                            h, bc = block_on_embedding_fwd(v_emb, ln_e, bp, ab, spec.ln_eps)
-                        else:
-                            h, bc = block_on_block_fwd(v_emb, h, bp, ab, spec.ln_eps)
+                    h = emb_target
+                    for bp in self._blocks:
+                        h, bc = maskblock_fwd(v_emb, h, bp, ab, spec.ln_eps)
                         cache["relu_pre"] += block_relu_pre(bc, ab)
                         bcaches.append(bc)
                 else:  # parallel
                     outs = []
-                    for i in range(1, spec.u + 1):
-                        out, bc = block_on_embedding_fwd(v_emb, ln_e, self._blocks[i - 1], ab, spec.ln_eps)
+                    for bp in self._blocks:
+                        out, bc = maskblock_fwd(v_emb, emb_target, bp, ab, spec.ln_eps)
                         cache["relu_pre"] += block_relu_pre(bc, ab)
                         bcaches.append(bc)
                         outs.append(out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MaskNetError
+from .errors import ConfigError, DimensionError, MaskNetError
 
 # Sigmoid outputs are kept strictly inside (0, 1) so log-loss terms and the
 # prediction contract stay well-defined even for extreme logits.
@@ -33,6 +33,8 @@ CACHE_LINE = 64
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic PCG64 generator; `stream` separates independent uses."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, STREAM_SHUFFLE
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, check_finite_fields
 from .evaluate import auc
 from .model import Model, relu_pattern
 from .numeric import ParamStore, make_rng
@@ -37,6 +37,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         for name, ok, rule in (
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("learning_rate", self.learning_rate > 0, "> 0"),
@@ -73,16 +74,24 @@ def objective(model: Model, cat: np.ndarray, num: np.ndarray, labels: np.ndarray
     return logloss(probs, labels) + l2_penalty(model.store, lam)
 
 
+def train_step(model: Model, cat: np.ndarray, num: np.ndarray, labels: np.ndarray, lam: float) -> tuple[float, dict]:
+    """The gradient of one minibatch: zero the gradients, then forward,
+    backward and the L2 term.  Returns (mean log loss without the L2 term,
+    forward cache)."""
+    model.store.zero_grads()
+    probs, cache = model.forward(cat, num)
+    model.backward(cache, (probs - labels) / len(labels))
+    add_l2_grad(model.store, lam)
+    return logloss(probs, labels), cache
+
+
 def objective_closure(model: Model, cat: np.ndarray, num: np.ndarray, labels: np.ndarray, lam: float = 0.0):
-    """f(store) -> (objective, relu pattern) running forward + backward; the
+    """f(store) -> (objective, relu pattern) running the training step; the
     shape gradcheck expects."""
 
     def f(store: ParamStore):
-        probs, cache = model.forward(cat, num)
-        loss = logloss(probs, labels) + l2_penalty(store, lam)
-        model.backward(cache, (probs - labels) / len(labels))
-        add_l2_grad(store, lam)
-        return loss, relu_pattern(cache)
+        loss, cache = train_step(model, cat, num, labels, lam)
+        return loss + l2_penalty(store, lam), relu_pattern(cache)
 
     return f
 
@@ -156,15 +165,11 @@ def train(model: Model, train_ds: Dataset, valid_ds: Dataset | None, cfg: TrainC
         loss_sum = 0.0
         for b, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[lo : lo + cfg.batch_size]
-            probs, cache = model.forward(train_ds.cat[idx], train_ds.num[idx])
-            loss = logloss(probs, train_ds.labels[idx])
+            loss, _ = train_step(model, train_ds.cat[idx], train_ds.num[idx], train_ds.labels[idx], cfg.l2)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b}")
             if epoch == 1 and b == 0:
                 hist.first_batch_loss = loss
-            store.zero_grads()
-            model.backward(cache, (probs - train_ds.labels[idx]) / len(idx))
-            add_l2_grad(store, cfg.l2)
             adam_step(store, cfg)
             loss_sum += loss * len(idx)
         train_loss = loss_sum / n

@@ -1,9 +1,25 @@
+import configparser
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from masknet.cli import build_run_config, main, parse_config_file
+from masknet.cli import (
+    _SECTIONS,
+    DataConfig,
+    RunConfig,
+    _parse_value,
+    build_run_config,
+    main,
+    parse_config_file,
+)
+from masknet.errors import ConfigError
+from masknet.maskblock import Ablation
+from masknet.model import TOPOLOGIES, ModelSpec
+from masknet.train import TrainConfig
 
 TINY_CONFIG = """
 [data]
@@ -35,6 +51,17 @@ out_dir = {out}
 def write_config(tmp_path, out_name="run1", text=TINY_CONFIG):
     cfg = tmp_path / "run.ini"
     cfg.write_text(text.format(out=tmp_path / out_name))
+    return cfg
+
+
+def config_with(tmp_path, section, key, value):
+    """TINY_CONFIG with one key set (added or replaced)."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(TINY_CONFIG.format(out=tmp_path / "run1"))
+    cp[section][key] = value
+    cfg = tmp_path / "run.ini"
+    with open(cfg, "w") as fh:
+        cp.write(fh)
     return cfg
 
 
@@ -168,6 +195,148 @@ def test_train_zero_size_flag_is_usage_error(tmp_path, flag):
     assert not (tmp_path / "run1" / "checkpoint.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("train", "learning_rate", "inf"),
+        ("train", "l2", "inf"),
+        ("model", "ln_eps", "-1"),
+        ("model", "mask_bias_init", "nan"),
+        ("data", "logit_scale", "nan"),
+        ("model", "top_widths", "-1"),
+        ("model", "top_widths", "8,0"),
+        ("data", "seed", "-2"),
+        ("data", "standardize", "maybe"),
+        ("train", "epochs", "2.5"),
+        ("model", "top_widths", "8,x"),
+    ],
+)
+def test_bad_value_is_usage_error_before_training(tmp_path, capsys, section, key, value):
+    cfg = config_with(tmp_path, section, key, value)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "run1" / "checkpoint.ckpt").exists()
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, value", [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)]
+)
+def test_boolean_spellings(text, value):
+    assert _parse_value(text, False) is value
+
+
+@pytest.mark.parametrize("command", ["train", "gen-synth", "gradcheck"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    args = {
+        "train": ["train", "--config", str(write_config(tmp_path))],
+        "gen-synth": ["gen-synth", "--instances", "100", "--out", str(tmp_path / "run1")],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    assert main(args + ["--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run1").exists()
+
+
+@pytest.mark.parametrize("section, key", [("model", "dnn_bias"), ("model", "seed"), ("train", "seed")])
+def test_dataclass_fields_outside_the_table_are_unknown_keys(tmp_path, section, key):
+    cfg = config_with(tmp_path, section, key, "1")
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "run1").exists()
+
+
+# Typed values that every key of the table accepts; the float range lies
+# inside (0, 1), which satisfies every float key's bound.
+_CHOICES = {"source": ("synthetic", "csv"), "delimiter": ("comma", "tab"), "topology": TOPOLOGIES}
+_ABLATIONS = ("no_mask", "no_ln", "no_ffn")
+
+
+def _typed_value(key, default):
+    if key in _CHOICES:
+        return st.sampled_from(_CHOICES[key])
+    if key == "ablate":
+        return st.lists(st.sampled_from(_ABLATIONS), unique=True).map(tuple)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, tuple):
+        return st.lists(st.integers(1, 512), max_size=3).map(tuple)
+    if isinstance(default, int):
+        return st.integers(1, 100_000)
+    if isinstance(default, float):
+        return st.floats(min_value=1e-9, max_value=0.99)
+    return st.text(alphabet="abcxyz0123456789_./-", max_size=12)
+
+
+def _text(value):
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {
+        section: st.fixed_dictionaries({key: _typed_value(key, d) for key, d in keys.items()})
+        for section, keys in _SECTIONS.items()
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=_CONFIGS)
+def test_config_file_round_trip(values):
+    ini = "".join(
+        f"[{section}]\n" + "".join(f"{key} = {_text(v)}\n" for key, v in kv.items()) for section, kv in values.items()
+    )
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "run.ini"
+        path.write_text(ini)
+        parsed = build_run_config(parse_config_file(str(path)))
+    model = dict(values["model"])
+    widths = (model.pop("width"),) * model.pop("blocks")
+    ablation = Ablation.from_names(model.pop("ablate"))
+    seed = values["run"]["seed"]
+    assert parsed == RunConfig(
+        data=DataConfig(**values["data"]),
+        model=ModelSpec(block_widths=widths, ablation=ablation, seed=seed, **model),
+        train=TrainConfig(seed=seed, **values["train"]),
+        **values["run"],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    section=st.sampled_from(sorted(_SECTIONS)),
+    key=st.sampled_from(["block_widths", "ablation", "dnn_bias", "seed"])
+    | st.from_regex(r"[a-z][a-z0-9_]{0,15}", fullmatch=True),
+)
+def test_key_outside_the_table_exits_two(section, key):
+    assume(key not in _SECTIONS[section])
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "run.ini"
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_file(str(path))
+        assert main(["train", "--config", str(path)]) == 2
+
+
+def test_readme_config_block_lists_the_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Run configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    listed: dict[str, dict[str, str]] = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = listed.setdefault(line[1:-1], {})
+        elif line:
+            key, value = line.split("=", 1)
+            section[key.strip()] = value.strip()
+    assert {s: sorted(kv) for s, kv in listed.items()} == {s: sorted(kv) for s, kv in _SECTIONS.items()}
+    for s, kv in listed.items():
+        for key, value in kv.items():
+            default = _SECTIONS[s][key]
+            parsed = _parse_value(value, default)
+            assert parsed == default and type(parsed) is type(default), (s, key)
+
+
 def test_sweep_command(tmp_path):
     cfg = write_config(tmp_path, out_name="sweep_out")
     code = main(["sweep", "--config", str(cfg), "--param", "blocks", "--values", "1,2",
@@ -177,6 +346,12 @@ def test_sweep_command(tmp_path):
     assert (base / "sweep_blocks_1" / "eval_report.txt").is_file()
     assert (base / "sweep_blocks_2" / "eval_report.txt").is_file()
     assert (base / "sweep_blocks_summary.txt").is_file()
+
+
+def test_sweep_checks_every_value_before_training(tmp_path):
+    cfg = write_config(tmp_path, out_name="sweep_bad")
+    assert main(["sweep", "--config", str(cfg), "--param", "blocks", "--values", "1,0"]) == 2
+    assert not (tmp_path / "sweep_bad").exists()
 
 
 def test_ablation_command(tmp_path):

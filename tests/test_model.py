@@ -285,3 +285,30 @@ def test_bad_spec_rejected():
         ModelSpec(topology="serial", block_widths=())
     with pytest.raises(ConfigError):
         ModelSpec(topology="serial", reduction=0)
+
+
+@pytest.mark.parametrize("top", [(-1,), (0,), (8, 0)])
+def test_top_width_below_one_rejected(top):
+    with pytest.raises(ConfigError, match="top_widths"):
+        ModelSpec(topology="parallel", top_widths=top)
+
+
+def test_empty_top_widths_is_valid(rng):
+    spec = ModelSpec(topology="parallel", block_widths=(3, 2), top_widths=(), embed_dim=2)
+    schema = small_schema()
+    model = with_random_head(Model(spec, schema))
+    assert "mlp1.w" not in model.store.params
+    assert model.store.params["head.w"].shape == (5,)  # the merged block outputs feed the head
+    cat, num, _ = random_batch(schema, rng)
+    probs, _ = model.forward(cat, num)
+    assert np.all((probs > 0.0) & (probs < 1.0)) and np.ptp(probs) > 0.0
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [({"ln_eps": 0.0}, "ln_eps"), ({"ln_eps": -1.0}, "ln_eps"), ({"ln_eps": float("inf")}, "ln_eps"),
+     ({"mask_bias_init": float("nan")}, "mask_bias_init")],
+)
+def test_spec_rejects_bad_floats(bad, match):
+    with pytest.raises(ConfigError, match=match):
+        ModelSpec(**bad)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from masknet.errors import DimensionError, MaskNetError
+from masknet.errors import ConfigError, DimensionError, MaskNetError
 from masknet.numeric import (
     CACHE_LINE,
     GradcheckReport,
@@ -143,6 +143,11 @@ def test_rng_determinism_and_streams():
     c = make_rng(42, 1).normal(size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_rng_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        make_rng(-1, 0)
 
 
 def test_report_line_format():

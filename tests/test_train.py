@@ -17,6 +17,7 @@ from masknet.train import (
     objective,
     objective_closure,
     train,
+    train_step,
 )
 from oracles import adam_trace, o_adam_arrays
 
@@ -62,6 +63,20 @@ def test_full_objective_gradcheck_with_l2():
     f = objective_closure(model, tr.cat[:3], tr.num[:3], tr.labels[:3], lam=0.02)
     rep = gradcheck(f, model.store, tol=1e-4, name="objective_l2")
     assert rep.passed, rep.line()
+
+
+def test_train_step_is_the_gradcheck_objective():
+    tr, _, _ = small_synth()
+    model = Model(tiny_spec("parallel", seed=4), tr.schema)
+    model.store.params["head.w"] += make_rng(4, 13).normal(size=model.store.params["head.w"].shape)
+    cat, num, labels = tr.cat[:16], tr.num[:16], tr.labels[:16]
+    model.store.grads["head.w"] += 5.0  # stale gradient: train_step must clear it
+    loss, cache = train_step(model, cat, num, labels, 0.01)
+    grads = model.store.grad_buf.copy()
+    assert loss == logloss(cache["probs"], labels)
+    objective_value, _ = objective_closure(model, cat, num, labels, lam=0.01)(model.store)
+    assert objective_value == loss + 0.01 * model.store.l2_sq()
+    assert np.array_equal(model.store.grad_buf, grads)
 
 
 def test_adam_zero_gradient_is_noop():
@@ -130,6 +145,10 @@ def test_adam_step_matches_per_array_reference_bitwise(rng):
         {"beta1": -0.1},
         {"beta2": 1.0},
         {"adam_eps": 0.0},
+        {"learning_rate": float("inf")},
+        {"l2": float("inf")},
+        {"adam_eps": float("inf")},
+        {"beta1": float("nan")},
     ],
 )
 def test_train_config_rejects_bad_values(bad):
