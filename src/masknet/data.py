@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, SchemaError, check_finite_fields
+from .errors import ConfigError, IngestError, MaskNetError, SchemaError, check_finite_fields
 from .numeric import make_rng, sigmoid
 
 CATEGORICAL = "categorical"
 NUMERICAL = "numerical"
 LABEL = "label"
 LOGIT = "logit"
+OOV_TOKEN = "<OOV>"  # how an OOV index is written back to text
 
 # rng stream ids, so independent uses of one seed never share a draw sequence
 STREAM_SPLIT = 1
@@ -42,19 +43,9 @@ class Field:
     kind: str
     vocab: tuple[str, ...] = ()
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {tok: i for i, tok in enumerate(self.vocab)}
-
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
-
-    def encode(self, token: str) -> int:
-        return self._index.get(token, len(self.vocab))
-
-    def decode(self, index: int) -> str:
-        return self.vocab[index] if index < len(self.vocab) else "<OOV>"
 
 
 class TableRows(NamedTuple):
@@ -177,116 +168,134 @@ def parse_column_spec(text: str) -> list[ColumnSpec]:
 
 @dataclass
 class RawTable:
-    """Parsed delimited text: header-ordered columns and string cells."""
+    """Parsed delimited text, by column: header-ordered column specs and each
+    column's stripped cells, plus the text, to name lines in errors."""
 
     columns: list[ColumnSpec]
-    rows: list[list[str]]
+    cells: list[list[str]]
+    text: str
+    delimiter: str
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.cells[0])
+
+    def line_of(self, row: int) -> int:
+        """Physical line on which a row (the row-th non-blank record after
+        the header) starts.  Re-reads the text, so only errors call this."""
+        reader = csv.reader(io.StringIO(self.text), delimiter=self.delimiter)
+        start, rows = 1, itertools.count(-1)  # the header is row -1
+        for record in reader:
+            if record and next(rows) == row:
+                return start
+            start = reader.line_num + 1
+        raise IndexError(row)
+
+
+# Records move into the columns this many at a time: reading them all first
+# keeps a row-major copy beside the columns, and its lists reach the garbage
+# collector's oldest generation (measured slower than a per-record loop).
+# Of 8 to 4096, 32 left the least freed heap behind for later allocations.
+_READ_CHUNK = 32
 
 
 def read_delimited(text: str, columns: list[ColumnSpec], delimiter: str = ",") -> RawTable:
     """Parse delimited text with a required header row.
 
     The header must contain exactly the declared column names; column order is
-    taken from the header.  Rows with the wrong cell count raise IngestError
-    naming the file line.
+    taken from the header.  Cells are stripped and blank lines skipped; a row
+    with the wrong cell count raises IngestError naming the physical line on
+    which it starts.
     """
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("empty input: missing header row") from None
+    header = next(reader, None)
+    if header is None:
+        raise IngestError("empty input: missing header row")
     header = [h.strip() for h in header]
     by_name = {c.name: c for c in columns}
     if sorted(header) != sorted(by_name):
         missing = set(by_name) - set(header)
         extra = set(header) - set(by_name)
         raise SchemaError(f"header does not match schema spec (missing={sorted(missing)}, extra={sorted(extra)})")
-    ordered = [by_name[h] for h in header]
-    rows: list[list[str]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(ordered):
-            raise IngestError(f"line {lineno}: expected {len(ordered)} cells, got {len(row)}")
-        rows.append([c.strip() for c in row])
-    return RawTable(columns=ordered, rows=rows)
+    raw = RawTable([by_name[h] for h in header], [[] for _ in header], text, delimiter)
+    width = len(header)
+    while chunk := list(itertools.islice(reader, _READ_CHUNK)):
+        widths = list(map(len, chunk))
+        if widths.count(width) != len(chunk):
+            for r, w in enumerate(widths):
+                if w and w != width:
+                    line = raw.line_of(raw.n + r - widths[:r].count(0))
+                    raise IngestError(f"line {line}: expected {width} cells, got {w}")
+            chunk = [record for record in chunk if record]
+        for column, chunk_cells in zip(raw.cells, zip(*chunk)):
+            column.extend(map(str.strip, chunk_cells))
+    return raw
 
 
-def _parse_label(token: str, lineno: int) -> float:
-    try:
-        v = float(token)
-    except ValueError:
-        raise IngestError(f"line {lineno}: label {token!r} is not a number") from None
-    if v not in (0.0, 1.0):
-        raise SchemaError(f"line {lineno}: label must be 0 or 1, got {token!r}")
-    return v
+def _first_fault(c: ColumnSpec, cells: list[str]) -> tuple[int, type[MaskNetError], str]:
+    """Row, error class and message of a column's first cell that float()
+    rejects or, in the label column, that is not 0 or 1."""
+    what = {LABEL: "label", LOGIT: "logit"}.get(c.kind, f"field {c.name!r} value")
+    for i, tok in enumerate(cells):
+        try:
+            v = float(tok)
+        except ValueError:
+            return i, IngestError, f"{what} {tok!r} is not a number"
+        if c.kind == LABEL and v not in (0.0, 1.0):
+            return i, SchemaError, f"label must be 0 or 1, got {tok!r}"
+    raise MaskNetError(f"column {c.name!r} has no bad cell")
 
 
 def build_schema_and_encode(
     raw: RawTable, train_rows: np.ndarray | None = None
 ) -> tuple[FeatureSchema, Dataset]:
-    """Build vocabularies and encode every row.
+    """Build vocabularies and encode every row, one column at a time.
 
     Vocabularies are built only from `train_rows` (all rows when None), in
     first-seen order; categories outside them encode to the reserved OOV
-    index.  Numerical cells pass through as raw scalars; a numerical or logit
-    cell that is not a finite number raises IngestError naming its line.
+    index.  Numerical cells pass through as raw scalars.  A cell that is not
+    a number (or a label not 0 or 1) raises naming its line; the first such
+    row wins, then the label, the logit and the numerical fields in schema
+    order.  Only then is a non-finite numerical, then logit, cell an error.
     """
     n = raw.n
-    if train_rows is None:
-        train_rows = np.arange(n)
-    vocab_rows = sorted(set(int(i) for i in train_rows))
-
-    fields: list[Field] = []
-    col_of: dict[str, int] = {}
-    for j, col in enumerate(raw.columns):
-        if col.kind == CATEGORICAL:
-            seen: dict[str, None] = {}
-            for i in vocab_rows:
-                seen.setdefault(raw.rows[i][j], None)
-            fields.append(Field(col.name, CATEGORICAL, tuple(seen)))
-            col_of[col.name] = j
-        elif col.kind == NUMERICAL:
-            fields.append(Field(col.name, NUMERICAL))
-            col_of[col.name] = j
+    vocab_rows = range(n) if train_rows is None else np.unique(np.asarray(train_rows, dtype=np.intp)).tolist()
+    cells = {c.name: col for c, col in zip(raw.columns, raw.cells)}
+    fields, cat = [], []
+    for c, col in zip(raw.columns, raw.cells):
+        if c.kind == CATEGORICAL:
+            index = {tok: i for i, tok in enumerate(dict.fromkeys(map(col.__getitem__, vocab_rows)))}
+            cat.append(np.fromiter(map(index.get, col, itertools.repeat(len(index))), dtype=np.int64, count=n))
+            fields.append(Field(c.name, c.kind, tuple(index)))
+        elif c.kind == NUMERICAL:
+            fields.append(Field(c.name, c.kind))
     schema = FeatureSchema(tuple(fields))
+    cat = np.column_stack(cat or [np.empty((n, 0), dtype=np.int64)])
 
-    label_j = next(j for j, c in enumerate(raw.columns) if c.kind == LABEL)
-    logit_j = next((j for j, c in enumerate(raw.columns) if c.kind == LOGIT), None)
-
-    cat = np.zeros((n, len(schema.categorical)), dtype=np.int64)
-    num = np.zeros((n, len(schema.numerical)), dtype=np.float64)
-    labels = np.zeros(n, dtype=np.float64)
-    logits = np.zeros(n, dtype=np.float64) if logit_j is not None else None
-    for i, row in enumerate(raw.rows):
-        lineno = i + 2
-        labels[i] = _parse_label(row[label_j], lineno)
-        if logits is not None:
-            try:
-                logits[i] = float(row[logit_j])
-            except ValueError:
-                raise IngestError(f"line {lineno}: logit {row[logit_j]!r} is not a number") from None
-        for a, fld in enumerate(schema.categorical):
-            cat[i, a] = fld.encode(row[col_of[fld.name]])
-        for a, fld in enumerate(schema.numerical):
-            tok = row[col_of[fld.name]]
-            try:
-                num[i, a] = float(tok)
-            except ValueError:
-                raise IngestError(f"line {lineno}: field {fld.name!r} value {tok!r} is not a number") from None
-    columns = [(f"field {fld.name!r}", num[:, a], col_of[fld.name]) for a, fld in enumerate(schema.numerical)]
-    if logits is not None:
-        columns.append((f"logit {raw.columns[logit_j].name!r}", logits, logit_j))
-    for what, values, j in columns:
-        bad = np.flatnonzero(~np.isfinite(values))
+    label = next(c for c in raw.columns if c.kind == LABEL)
+    logit = [c for c in raw.columns if c.kind == LOGIT]
+    numerical = [c for c in raw.columns if c.kind == NUMERICAL]  # schema order
+    values, faults = {}, []
+    for c in [label] + logit + numerical:  # a row's order of precedence: min() keeps the first
+        try:
+            col = values[c.name] = np.fromiter(map(float, cells[c.name]), dtype=np.float64, count=n)
+        except ValueError:
+            col = None
+        if col is None or (c is label and not ((col == 0.0) | (col == 1.0)).all()):
+            faults.append(_first_fault(c, cells[c.name]))
+    if faults:
+        i, cls, msg = min(faults, key=lambda f: f[0])
+        raise cls(f"line {raw.line_of(i)}: {msg}")
+    for c in numerical + logit:
+        bad = np.flatnonzero(~np.isfinite(values[c.name]))
         if bad.size:
             i = int(bad[0])
-            raise IngestError(f"line {i + 2}: {what} value {raw.rows[i][j]!r} is not finite")
-    return schema, Dataset(schema=schema, cat=cat, num=num, labels=labels, logits=logits)
+            what = f"{'logit' if c.kind == LOGIT else 'field'} {c.name!r} value {cells[c.name][i]!r}"
+            raise IngestError(f"line {raw.line_of(i)}: {what} is not finite")
+
+    num = np.column_stack([values[c.name] for c in numerical] or [np.empty((n, 0))])
+    logits = values[logit[0].name] if logit else None
+    return schema, Dataset(schema=schema, cat=cat, num=num, labels=values[label.name], logits=logits)
 
 
 # ---------------------------------------------------------------------------
@@ -449,26 +458,23 @@ def manifest_text(man: dict[str, str]) -> str:
 
 def dataset_to_csv(ds: Dataset, delimiter: str = ",") -> str:
     """Serialize a dataset back to delimited text (with label and, when
-    present, true_logit columns)."""
+    present, true_logit columns), zipping rows from one lazy iterator per
+    column: category tokens (OOV_TOKEN for the OOV index) and float reprs
+    (numpy's float64 is a float, so float.__repr__ prints it as Python does)."""
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
     header = [f.name for f in ds.schema.fields] + ["label"]
+    cat, num = iter(ds.cat.T), iter(ds.num.T)
+    columns = [
+        map((*f.vocab, OOV_TOKEN).__getitem__, next(cat)) if f.kind == CATEGORICAL else map(float.__repr__, next(num))
+        for f in ds.schema.fields
+    ]
+    columns.append(map(str, map(int, ds.labels)))
     if ds.logits is not None:
         header.append("true_logit")
+        columns.append(map(float.__repr__, ds.logits))
     writer.writerow(header)
-    cat_pos = {f.name: a for a, f in enumerate(ds.schema.categorical)}
-    num_pos = {f.name: a for a, f in enumerate(ds.schema.numerical)}
-    for i in range(ds.n):
-        row = []
-        for fld in ds.schema.fields:
-            if fld.kind == CATEGORICAL:
-                row.append(fld.decode(int(ds.cat[i, cat_pos[fld.name]])))
-            else:
-                row.append(repr(float(ds.num[i, num_pos[fld.name]])))
-        row.append(str(int(ds.labels[i])))
-        if ds.logits is not None:
-            row.append(repr(float(ds.logits[i])))
-        writer.writerow(row)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

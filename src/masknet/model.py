@@ -96,10 +96,13 @@ class Model:
     `backward` + the optimizer.
     """
 
-    def __init__(self, spec: ModelSpec, schema: FeatureSchema):
+    def __init__(self, spec: ModelSpec, schema: FeatureSchema, *, draw_init: bool = True):
+        """draw_init=False leaves every value unset, for a caller that fills
+        the whole store (a checkpoint load)."""
         self.spec = spec
         self.schema = schema
-        self.store = ParamStore(self._init_arrays(make_rng(spec.seed, INIT_STREAM)))
+        rng = make_rng(spec.seed, INIT_STREAM) if draw_init else _Undrawn()
+        self.store = ParamStore(self._init_arrays(rng))
         p = self.store.params
         self._blocks: list[BlockParams] = []
         if spec.topology in ("serial", "parallel"):
@@ -336,6 +339,15 @@ class Model:
         return [bc["mask"] for bc in cache["blocks"]]
 
 
+class _Undrawn:
+    """Stands in for the initialisation generator: arrays of the right shape,
+    nothing drawn."""
+
+    @staticmethod
+    def normal(loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
+        return np.empty(size)
+
+
 def _head_arrays(width: int) -> dict[str, np.ndarray]:
     return {"head.w": np.zeros(width), "head.w0": np.zeros(1)}
 
@@ -426,7 +438,7 @@ def load_checkpoint(path: str) -> Model:
     sd["ablation"] = Ablation(**sd["ablation"])
     sd["block_widths"] = tuple(sd["block_widths"])
     sd["top_widths"] = tuple(sd["top_widths"])
-    model = Model(ModelSpec(**sd), schema)
+    model = Model(ModelSpec(**sd), schema, draw_init=False)
 
     store = model.store
     manifest = header["arrays"]

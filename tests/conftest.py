@@ -1,13 +1,26 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from masknet.data import CATEGORICAL, NUMERICAL, Field, FeatureSchema
 from masknet.numeric import make_rng
+
+# Property tests replay the same examples on every run (derandomize), keep no
+# example database, and have no per-example deadline, which a loaded machine
+# would miss.
+settings.register_profile("replay", derandomize=True, database=None, deadline=None)
+settings.load_profile("replay")
+# Hypothesis also caches the constants it reads from the package's source,
+# from collection on; that goes to a directory removed when the run ends.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

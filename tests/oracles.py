@@ -6,9 +6,13 @@ vectorized/cached implementations.  Comparisons against these are the
 ground-truth checks; keep them naive.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
+
+from masknet.errors import IngestError, SchemaError
 
 
 def o_affine(w, b, x):
@@ -173,3 +177,108 @@ def o_adam_arrays(params, grads, m, v, t, lr, beta1, beta2, eps):
         m[name] = beta1 * m[name] + (1.0 - beta1) * g
         v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
         params[name] = params[name] - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+def o_ingest(text, columns, delimiter, train_rows=None):
+    """Row-by-row CSV ingest: records in file order with the physical line
+    each starts on, blank lines skipped, cells stripped, vocabularies in
+    first-seen order over the sorted distinct training rows, and each row
+    parsed label, logit, then numerical fields, with the non-finite checks
+    once every row has parsed.  Returns (fields, cat, num, labels, logits),
+    fields as (name, kind, vocab) triples in header order."""
+    by_name = {c.name: c for c in columns}
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    header = [h.strip() for h in next(reader)]
+    assert sorted(header) == sorted(by_name)
+    cols = [by_name[h] for h in header]
+    rows, lines = [], []
+    start = reader.line_num + 1
+    for record in reader:
+        line, start = start, reader.line_num + 1
+        if not record:
+            continue
+        if len(record) != len(cols):
+            raise IngestError(f"line {line}: expected {len(cols)} cells, got {len(record)}")
+        rows.append([cell.strip() for cell in record])
+        lines.append(line)
+    if train_rows is None:
+        train_rows = range(len(rows))
+    vocab_rows = sorted(set(int(i) for i in train_rows))
+    fields = []
+    for j, c in enumerate(cols):
+        if c.kind == "categorical":
+            vocab = []
+            for i in vocab_rows:
+                if rows[i][j] not in vocab:
+                    vocab.append(rows[i][j])
+            fields.append((c.name, c.kind, tuple(vocab)))
+        elif c.kind == "numerical":
+            fields.append((c.name, c.kind, ()))
+    cat_j = [j for j, c in enumerate(cols) if c.kind == "categorical"]
+    num_j = [j for j, c in enumerate(cols) if c.kind == "numerical"]
+    label_j = [j for j, c in enumerate(cols) if c.kind == "label"][0]
+    logit_j = [j for j, c in enumerate(cols) if c.kind == "logit"]
+    cat, num, labels, logits = [], [], [], []
+    for row, line in zip(rows, lines):
+        tok = row[label_j]
+        try:
+            v = float(tok)
+        except ValueError:
+            raise IngestError(f"line {line}: label {tok!r} is not a number") from None
+        if v != 0.0 and v != 1.0:
+            raise SchemaError(f"line {line}: label must be 0 or 1, got {tok!r}")
+        labels.append(v)
+        for j in logit_j:
+            try:
+                logits.append(float(row[j]))
+            except ValueError:
+                raise IngestError(f"line {line}: logit {row[j]!r} is not a number") from None
+        codes = []
+        for j in cat_j:
+            vocab = fields[[f[0] for f in fields].index(cols[j].name)][2]
+            codes.append(vocab.index(row[j]) if row[j] in vocab else len(vocab))
+        cat.append(codes)
+        values = []
+        for j in num_j:
+            try:
+                values.append(float(row[j]))
+            except ValueError:
+                raise IngestError(f"line {line}: field {cols[j].name!r} value {row[j]!r} is not a number") from None
+        num.append(values)
+    checks = [(f"field {cols[j].name!r}", j, [r[a] for r in num]) for a, j in enumerate(num_j)]
+    checks += [(f"logit {cols[j].name!r}", j, logits) for j in logit_j]
+    for what, j, values in checks:
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise IngestError(f"line {lines[i]}: {what} value {rows[i][j]!r} is not finite")
+    return (
+        fields,
+        np.array(cat, dtype=np.int64).reshape(len(rows), len(cat_j)),
+        np.array(num, dtype=np.float64).reshape(len(rows), len(num_j)),
+        np.array(labels, dtype=np.float64),
+        np.array(logits, dtype=np.float64) if logit_j else None,
+    )
+
+
+def o_dataset_to_csv(ds, delimiter):
+    """One csv.writer row per instance, built cell by cell: category tokens
+    (<OOV> for the OOV index), repr of each float, the label as an int."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    header = [f.name for f in ds.schema.fields] + ["label"]
+    writer.writerow(header + (["true_logit"] if ds.logits is not None else []))
+    for i in range(ds.n):
+        row, ci, ni = [], 0, 0
+        for fld in ds.schema.fields:
+            if fld.kind == "categorical":
+                index = int(ds.cat[i, ci])
+                row.append(fld.vocab[index] if index < len(fld.vocab) else "<OOV>")
+                ci += 1
+            else:
+                row.append(repr(float(ds.num[i, ni])))
+                ni += 1
+        row.append(str(int(ds.labels[i])))
+        if ds.logits is not None:
+            row.append(repr(float(ds.logits[i])))
+        writer.writerow(row)
+    return buf.getvalue()

@@ -1,8 +1,17 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masknet.data import (
+    CATEGORICAL,
+    NUMERICAL,
     ColumnSpec,
+    Dataset,
+    FeatureSchema,
+    Field,
     SyntheticSpec,
     build_manifest,
     build_schema_and_encode,
@@ -17,8 +26,9 @@ from masknet.data import (
     split_indices,
     standardize_numerical,
 )
-from masknet.errors import ConfigError, IngestError, SchemaError
+from masknet.errors import ConfigError, IngestError, MaskNetError, SchemaError
 from masknet.evaluate import auc
+from oracles import o_dataset_to_csv, o_ingest
 
 COLS = [
     ColumnSpec("color", "categorical"),
@@ -93,11 +103,11 @@ def test_split_sizes_and_determinism():
 
 
 def test_vocab_round_trip():
-    raw = read_delimited(csv_of(["a,1.0,0", "b,2.0,1", "c,3.0,0"]), COLS)
-    schema, ds = build_schema_and_encode(raw)
-    fld = schema.categorical[0]
-    assert [fld.decode(fld.encode(t)) for t in fld.vocab] == list(fld.vocab)
-    assert fld.decode(fld.encode("unseen")) == "<OOV>"
+    raw = read_delimited(csv_of(["a,1.0,0", "b,2.0,1", "c,3.0,0", "unseen,4.0,1"]), COLS)
+    schema, ds = build_schema_and_encode(raw, train_rows=np.arange(3))
+    assert schema.categorical[0].vocab == ("a", "b", "c")
+    tokens = [line.split(",")[0] for line in dataset_to_csv(ds).splitlines()[1:]]
+    assert tokens == ["a", "b", "c", "<OOV>"]
 
 
 def test_synthetic_scale_zero_is_chance():
@@ -159,8 +169,8 @@ def test_csv_round_trip_preserves_content():
     schema2, ds2 = build_schema_and_encode(raw)
     # same category tokens row by row, labels and stored logits intact
     for i in (0, 57, 199):
-        orig = [f.decode(int(full.cat[i, a])) for a, f in enumerate(full.schema.categorical)]
-        back = [f.decode(int(ds2.cat[i, a])) for a, f in enumerate(schema2.categorical)]
+        orig = [f.vocab[full.cat[i, a]] for a, f in enumerate(full.schema.categorical)]
+        back = [f.vocab[ds2.cat[i, a]] for a, f in enumerate(schema2.categorical)]
         assert orig == back
     assert np.array_equal(full.labels, ds2.labels)
     assert np.allclose(full.logits, ds2.logits, rtol=0, atol=0)
@@ -204,3 +214,164 @@ def test_non_finite_logit_cell_names_line_and_field(token):
     text = "color,size,label,true_logit\na,1.0,0,0.5\na,2.0,1,0.25\n" + f"b,2.0,1,{token}\n"
     with pytest.raises(IngestError, match=r"line 4: logit 'true_logit'.*not finite"):
         build_schema_and_encode(read_delimited(text, cols))
+
+
+def test_error_names_physical_line_after_blank_lines():
+    raw = read_delimited(csv_of(["a,1.0,0", "", "", "b,oops,1"]), COLS)
+    with pytest.raises(IngestError, match=r"^line 5: field 'size' value 'oops' is not a number$"):
+        build_schema_and_encode(raw)
+
+
+def test_error_names_physical_line_after_multi_line_cell():
+    with pytest.raises(IngestError, match=r"^line 4: expected 3 cells, got 2$"):
+        read_delimited(csv_of(['"a\nb",1.0,0', "c,2.0"]), COLS)
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        # the earliest faulty row wins, even over a later label fault
+        (["a,1.0,0,0", "b,x,1,0", "c,2.0,oops,0"], IngestError, "line 3: field 'size' value 'x' is not a number"),
+        # within a row: the label, then the logit, then the numerical fields
+        (["a,1.0,0,0", "b,x,2,y"], SchemaError, "line 3: label must be 0 or 1, got '2'"),
+        (["a,x,1,y"], IngestError, "line 2: logit 'y' is not a number"),
+        # a non-finite cell only once every cell parses, wherever it sits,
+        # and a numerical field's before the logit's
+        (["a,nan,0,0", "b,x,1,0"], IngestError, "line 3: field 'size' value 'x' is not a number"),
+        (["a,1.0,0,inf", "b,nan,1,0"], IngestError, "line 3: field 'size' value 'nan' is not finite"),
+    ],
+)
+def test_which_fault_wins(rows, error, message):
+    cols = COLS + [ColumnSpec("true_logit", "logit")]
+    text = "color,size,label,true_logit\n" + "\n".join(rows) + "\n"
+    with pytest.raises(error) as info:
+        build_schema_and_encode(read_delimited(text, cols))
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest and export against the row-by-row oracles
+# ---------------------------------------------------------------------------
+
+DELIMITERS = [",", ";", "\t", "|"]
+# leading and trailing padding that str.strip() removes, non-ASCII spaces included
+_PAD = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0", "\u2003"])
+# category tokens: delimiters, quotes, line breaks and spaces need quoting or stripping
+_TOKEN = st.text(st.sampled_from(list('ab,;|\t" \n\u00a0\u2003é')), max_size=4)
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["1e3", ".5", "-0", "+2.", "1_0"]),
+)
+_LABEL = st.sampled_from(["0", "1", "0.0", "1.0", "1e0", "-0"])
+_CELL = {CATEGORICAL: _TOKEN, NUMERICAL: _NUMBER, "logit": _NUMBER, "label": _LABEL}
+# fault -> (the column kinds it goes in, its cells)
+_FAULTS = {
+    "not a number": (("label", "logit", NUMERICAL), ["oops", "", "1,5"]),
+    "not finite": (("logit", NUMERICAL), ["nan", " -inf", "1e999"]),
+    "not 0 or 1": (("label",), ["2", "0.5", "-1", "nan"]),
+    "short row": ((), []),
+}
+
+
+def _padded(cell):
+    return st.tuples(_PAD, cell, _PAD).map("".join)
+
+
+@st.composite
+def _delimited_case(draw):
+    """Random delimited text: shuffled header, padded cells, blank lines,
+    quoted multi-line cells, random training rows and up to two injected
+    faults, so that both the values and the error that wins are compared."""
+    cols = [ColumnSpec(f"c{i}", CATEGORICAL) for i in range(draw(st.integers(1, 3)))]
+    cols += [ColumnSpec(f"x{i}", NUMERICAL) for i in range(draw(st.integers(0, 2)))]
+    cols += [ColumnSpec("label", "label")] + [ColumnSpec("true_logit", "logit")] * draw(st.booleans())
+    cols = draw(st.permutations(cols))
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    n = draw(st.integers(0, 12))
+    rows = [[draw(_padded(_CELL[c.kind])) for c in cols] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        row = rows[draw(st.integers(0, n - 1))]
+        fault = draw(st.sampled_from(sorted(_FAULTS)))
+        targets = [j for j, c in enumerate(cols[: len(row)]) if c.kind in _FAULTS[fault][0]]
+        if fault == "short row" and len(row) > 1:  # an empty row would be a blank line
+            del row[-1]
+        elif targets:
+            row[draw(st.sampled_from(targets))] = draw(st.sampled_from(_FAULTS[fault][1]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow([c.name for c in cols])
+    for row in rows:
+        buf.write("\n" * draw(st.sampled_from([0, 0, 0, 1, 2])))
+        writer.writerow(row)
+    train_rows = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=n)) if n else None
+    return buf.getvalue(), cols, delimiter, train_rows
+
+
+def _outcome(ingest):
+    try:
+        fields, *arrays = ingest()
+    except MaskNetError as exc:
+        return type(exc), str(exc)
+    return fields, [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=300)
+@given(case=_delimited_case())
+def test_ingest_matches_row_by_row_oracle(case):
+    text, cols, delimiter, train_rows = case
+
+    def ingest():
+        rows = None if train_rows is None else np.array(train_rows, dtype=np.int64)
+        schema, ds = build_schema_and_encode(read_delimited(text, cols, delimiter), rows)
+        fields = [(f.name, f.kind, f.vocab) for f in schema.fields]
+        return fields, ds.cat, ds.num, ds.labels, ds.logits
+
+    assert _outcome(ingest) == _outcome(lambda: o_ingest(text, cols, delimiter, train_rows))
+
+
+_FLOAT = st.floats() | st.sampled_from([-0.0, 1e-300, 0.1, 1e22])
+
+
+@st.composite
+def _dataset_case(draw):
+    """A dataset with OOV indices, tokens that need quoting, numerical fields
+    with any float, and logits or none."""
+    fields = [Field(f"c{i}", CATEGORICAL, tuple(draw(st.lists(_TOKEN, max_size=4))))
+              for i in range(draw(st.integers(1, 3)))]
+    fields += [Field(f"x {i}", NUMERICAL) for i in range(draw(st.integers(0, 2)))]
+    schema = FeatureSchema(tuple(draw(st.permutations(fields))))
+    n = draw(st.integers(0, 10))
+    cat = np.array([[draw(st.integers(0, f.vocab_size)) for f in schema.categorical] for _ in range(n)], dtype=np.int64)
+    num = np.array([[draw(_FLOAT) for _ in schema.numerical] for _ in range(n)], dtype=np.float64)
+    labels = np.array([draw(st.sampled_from([0.0, 1.0])) for _ in range(n)])
+    logits = np.array([draw(_FLOAT) for _ in range(n)]) if draw(st.booleans()) else None
+    ds = Dataset(schema, cat.reshape(n, len(schema.categorical)), num.reshape(n, len(schema.numerical)), labels, logits)
+    return ds, draw(st.sampled_from(DELIMITERS))
+
+
+@settings(max_examples=200)
+@given(case=_dataset_case())
+def test_export_matches_row_by_row_writer(case):
+    ds, delimiter = case
+    assert dataset_to_csv(ds, delimiter) == o_dataset_to_csv(ds, delimiter)
+
+
+@pytest.mark.parametrize("delimiter", DELIMITERS)
+@pytest.mark.parametrize("with_logits", [False, True])
+def test_export_quotes_tokens_and_writes_oov(delimiter, with_logits):
+    schema = FeatureSchema((
+        Field("city", CATEGORICAL, ("a,b", 'say "hi"', "two\nlines", " pad ", "x;y|z\tw")),
+        Field("price", NUMERICAL),
+    ))
+    n = 6
+    ds = Dataset(
+        schema,
+        cat=np.arange(n, dtype=np.int64).reshape(n, 1) % 6,  # index 5 is the OOV slot
+        num=np.array([[0.1], [-0.0], [1e300], [np.nan], [-np.inf], [2.5]]),
+        labels=np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]),
+        logits=np.linspace(-1.0, 1.0, n) if with_logits else None,
+    )
+    text = dataset_to_csv(ds, delimiter)
+    assert text == o_dataset_to_csv(ds, delimiter)
+    assert "<OOV>" in text

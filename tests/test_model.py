@@ -225,6 +225,27 @@ def test_checkpoint_file_is_header_plus_arrays_in_manifest_order(tmp_path):
     assert data == header_line + b"\n" + payload
 
 
+@pytest.mark.parametrize("topo", ["serial", "parallel", "dnn", "linear"])
+def test_checkpoint_load_draws_no_initialisation(tmp_path, rng, monkeypatch, topo):
+    schema = small_schema(f_cat=2, f_num=1, vocab=3)
+    spec = ModelSpec(topology=topo, block_widths=(3, 2), top_widths=(4,), embed_dim=2, seed=13)
+    model = Model(spec, schema)
+    model.store.param_buf[...] = rng.normal(size=model.store.size())  # every value counts
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+
+    def no_rng(*args):
+        raise AssertionError("load_checkpoint drew an initialisation")
+
+    monkeypatch.setattr("masknet.model.make_rng", no_rng)
+    loaded = load_checkpoint(str(path))
+    cat, num, _ = random_batch(schema, rng, n=7)
+    assert model.forward(cat, num)[0].tobytes() == loaded.forward(cat, num)[0].tobytes()
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("key", ["schema", "spec", "arrays"])
 def test_checkpoint_header_missing_entry_rejected(tmp_path, key):
     model = Model(ModelSpec(topology="linear", block_widths=()), small_schema())
