@@ -30,11 +30,11 @@ from .data import (
     standardize_numerical,
 )
 from .errors import CheckpointError, ConfigError, MaskNetError, MetricError, check_finite_fields
-from .evaluate import inspect_masks
+from .evaluate import check_baseline_auc, inspect_masks
 from .experiments import run_ablation_grid, run_experiment
 from .gradchecks import run_suite
 from .maskblock import Ablation
-from .model import ModelSpec, load_checkpoint, param_count, save_checkpoint
+from .model import TOPOLOGIES, ModelSpec, load_checkpoint, param_count, save_checkpoint
 from .train import TrainConfig
 
 
@@ -136,23 +136,27 @@ def build_run_config(raw: dict[str, dict[str, str]]) -> RunConfig:
     return RunConfig(DataConfig(**v["data"]), model, TrainConfig(seed=seed, **v["train"]), **v["run"])
 
 
+# Flags of train, ablation and sweep: flag -> (section, key, extra argparse options).
+# Each parses by the type of its key's default; its dest is argparse's ("--l2" -> l2).
+_TRAIN_FLAGS: dict[str, tuple[str, str, dict]] = {
+    "--topology": ("model", "topology", {"choices": TOPOLOGIES}),
+    "--blocks": ("model", "blocks", {}),
+    "--width": ("model", "width", {}),
+    "--embedding-dim": ("model", "embed_dim", {}),
+    "--reduction-ratio": ("model", "reduction", {}),
+    "--ablate": ("model", "ablate", {"help": "comma list from {no_mask,no_ln,no_ffn}"}),
+    "--epochs": ("train", "epochs", {}),
+    "--batch-size": ("train", "batch_size", {}),
+    "--learning-rate": ("train", "learning_rate", {}),
+    "--l2": ("train", "l2", {}),
+    "--seed": ("run", "seed", {}),
+    "--out": ("run", "out_dir", {}),
+}
+
+
 def _apply_overrides(raw: dict[str, dict[str, str]], args: argparse.Namespace) -> None:
-    pairs = [
-        ("model", "topology", "topology"),
-        ("model", "blocks", "blocks"),
-        ("model", "width", "width"),
-        ("model", "embed_dim", "embedding_dim"),
-        ("model", "reduction", "reduction_ratio"),
-        ("model", "ablate", "ablate"),
-        ("train", "epochs", "epochs"),
-        ("train", "batch_size", "batch_size"),
-        ("train", "learning_rate", "learning_rate"),
-        ("train", "l2", "l2"),
-        ("run", "seed", "seed"),
-        ("run", "out_dir", "out"),
-    ]
-    for section, key, attr in pairs:
-        val = getattr(args, attr, None)
+    for flag, (section, key, _) in _TRAIN_FLAGS.items():
+        val = getattr(args, flag[2:].replace("-", "_"))
         if val is not None:
             raw.setdefault(section, {})[key] = str(val)
 
@@ -208,10 +212,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     raw = parse_config_file(args.config)
     _apply_overrides(raw, args)
     cfg = build_run_config(raw)
+    baseline = None if args.baseline_auc is None else (args.baseline_name, check_baseline_auc(args.baseline_auc))
     splits, _, _ = load_splits(cfg)
     label = f"{cfg.model.topology}" + (f"[{','.join(cfg.model.ablation.names())}]" if cfg.model.ablation.names() else "")
     t0 = time.time()
-    model, result = run_experiment(cfg.model, splits, cfg.train, label=label)
+    model, result = run_experiment(cfg.model, splits, cfg.train, label=label, baseline=baseline)
     seconds = time.time() - t0
 
     out = _out_dir(cfg.out_dir)
@@ -227,15 +232,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"best_epoch={result.history.best_epoch}",
     ]
     lines += ["valid." + ln for ln in result.valid.lines()]
-    test = result.test
-    if args.baseline_auc is not None:
-        from .evaluate import relaimp
-
-        test = replace(test)
-        test.baseline_name = args.baseline_name
-        test.baseline_auc = args.baseline_auc
-        test.relaimp_pct = relaimp(test.auc, args.baseline_auc)
-    lines += ["test." + ln for ln in test.lines()]
+    lines += ["test." + ln for ln in result.test.lines()]
     (out / "eval_report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(f"checkpoint: {out / 'checkpoint.ckpt'}")
@@ -345,18 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_train_flags(p):
         p.add_argument("--config", required=True, help="run config file (key=value sections)")
-        p.add_argument("--topology", choices=("serial", "parallel", "dnn", "linear"))
-        p.add_argument("--blocks", type=int)
-        p.add_argument("--width", type=int)
-        p.add_argument("--embedding-dim", type=int, dest="embedding_dim")
-        p.add_argument("--reduction-ratio", type=int, dest="reduction_ratio")
-        p.add_argument("--ablate", help="comma list from {no_mask,no_ln,no_ffn}")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--learning-rate", type=float, dest="learning_rate")
-        p.add_argument("--l2", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
+        for flag, (section, key, options) in _TRAIN_FLAGS.items():
+            p.add_argument(flag, type=type(_SECTIONS[section][key]), **options)
 
     t = sub.add_parser("train", help="train one model and write checkpoint/history/report")
     add_train_flags(t)

@@ -208,27 +208,30 @@ def read_delimited(text: str, columns: list[ColumnSpec], delimiter: str = ",") -
     which it starts.
     """
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    header = next(reader, None)
-    if header is None:
-        raise IngestError("empty input: missing header row")
-    header = [h.strip() for h in header]
-    by_name = {c.name: c for c in columns}
-    if sorted(header) != sorted(by_name):
-        missing = set(by_name) - set(header)
-        extra = set(header) - set(by_name)
-        raise SchemaError(f"header does not match schema spec (missing={sorted(missing)}, extra={sorted(extra)})")
-    raw = RawTable([by_name[h] for h in header], [[] for _ in header], text, delimiter)
-    width = len(header)
-    while chunk := list(itertools.islice(reader, _READ_CHUNK)):
-        widths = list(map(len, chunk))
-        if widths.count(width) != len(chunk):
-            for r, w in enumerate(widths):
-                if w and w != width:
-                    line = raw.line_of(raw.n + r - widths[:r].count(0))
-                    raise IngestError(f"line {line}: expected {width} cells, got {w}")
-            chunk = [record for record in chunk if record]
-        for column, chunk_cells in zip(raw.cells, zip(*chunk)):
-            column.extend(map(str.strip, chunk_cells))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("empty input: missing header row")
+        header = [h.strip() for h in header]
+        by_name = {c.name: c for c in columns}
+        if sorted(header) != sorted(by_name):
+            missing = set(by_name) - set(header)
+            extra = set(header) - set(by_name)
+            raise SchemaError(f"header does not match schema spec (missing={sorted(missing)}, extra={sorted(extra)})")
+        raw = RawTable([by_name[h] for h in header], [[] for _ in header], text, delimiter)
+        width = len(header)
+        while chunk := list(itertools.islice(reader, _READ_CHUNK)):
+            widths = list(map(len, chunk))
+            if widths.count(width) != len(chunk):
+                for r, w in enumerate(widths):
+                    if w and w != width:
+                        line = raw.line_of(raw.n + r - widths[:r].count(0))
+                        raise IngestError(f"line {line}: expected {width} cells, got {w}")
+                chunk = [record for record in chunk if record]
+            for column, chunk_cells in zip(raw.cells, zip(*chunk)):
+                column.extend(map(str.strip, chunk_cells))
+    except csv.Error as exc:  # a cell over the field size limit, a stray carriage return
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
     return raw
 
 

@@ -36,11 +36,16 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def check_baseline_auc(base: float) -> float:
+    """`base` if RelaImp is defined for it: in (0.5, 1], so not nan."""
+    if not 0.5 < base <= 1.0:
+        raise MetricError(f"RelaImp undefined for baseline AUC {base} outside (0.5, 1]")
+    return base
+
+
 def relaimp(measured: float, base: float) -> float:
     """Relative AUC improvement with the 0.5 chance floor removed, in percent."""
-    if base <= 0.5:
-        raise MetricError(f"RelaImp undefined for baseline AUC {base} <= 0.5")
-    return ((measured - 0.5) / (base - 0.5) - 1.0) * 100.0
+    return ((measured - 0.5) / (check_baseline_auc(base) - 0.5) - 1.0) * 100.0
 
 
 @dataclass

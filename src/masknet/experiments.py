@@ -27,6 +27,7 @@ def run_experiment(
     splits: tuple[Dataset, Dataset, Dataset],
     cfg: TrainConfig,
     label: str = "",
+    baseline: tuple[str, float] | None = None,
 ) -> tuple[Model, ExperimentResult]:
     train_ds, valid_ds, test_ds = splits
     model = Model(spec, train_ds.schema)
@@ -36,7 +37,7 @@ def run_experiment(
         spec=spec,
         history=history,
         valid=evaluate_model(model, valid_ds),
-        test=evaluate_model(model, test_ds),
+        test=evaluate_model(model, test_ds, baseline),
     )
     return model, result
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import CATEGORICAL, Dataset, FeatureSchema, Field
 from .embedding import embed_bwd, embed_fwd, embedding_tables, init_embedding
-from .errors import CheckpointError, ConfigError, check_finite_fields
+from .errors import CheckpointError, ConfigError, SchemaError, check_finite_fields
 from .layers import DEFAULT_LN_EPS, ln_emb_bwd, ln_emb_fwd
 from .maskblock import (
     Ablation,
@@ -394,6 +394,37 @@ def group_count(model: Model, prefix: str) -> int:
 
 CHECKPOINT_FORMAT = "masknet-checkpoint"
 CHECKPOINT_VERSION = 1
+_HEADER_SHAPE = {
+    "format": CHECKPOINT_FORMAT,
+    "version": CHECKPOINT_VERSION,
+    "spec": asdict(ModelSpec()),
+    "schema": [{"name": "", "kind": "", "vocab": [""]}],
+    "arrays": [{"name": "", "shape": [0]}],
+}
+
+
+def _checked(what: str, value, shape):
+    """`value` if it has the JSON shape of `shape`: an object with exactly its
+    keys, a list whose items match its one item (a tuple gives a tuple), or a
+    scalar of its type (an int passes for a float); else CheckpointError.
+    A list of scalars (a vocabulary may hold 10^5 tokens) is checked in one
+    pass; item by item only to name the item at fault."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise CheckpointError(f"{what} is not an object")
+        if value.keys() != shape.keys():
+            key = min(value.keys() ^ shape.keys())
+            raise CheckpointError(f"{what} has {'no' if key in shape else 'unknown'} entry {key!r}")
+        return {key: _checked(f"{what}.{key}", value[key], sub) for key, sub in shape.items()}
+    if isinstance(shape, (list, tuple)):
+        if not isinstance(value, list):
+            raise CheckpointError(f"{what} is not a list")
+        if isinstance(shape[0], dict) or set(map(type, value)) - {type(shape[0])}:
+            return type(shape)(_checked(f"{what}[{i}]", item, shape[0]) for i, item in enumerate(value))
+        return type(shape)(value)
+    if type(value) is not type(shape) and not (type(shape) is float and type(value) is int):
+        raise CheckpointError(f"{what} is not of type {type(shape).__name__}")
+    return value
 
 
 def save_checkpoint(model: Model, path: str) -> None:
@@ -427,18 +458,13 @@ def load_checkpoint(path: str) -> Model:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    for key in ("schema", "spec", "arrays"):
-        if key not in header:
-            raise CheckpointError(f"{path}: checkpoint header has no {key!r} entry")
-
-    schema = FeatureSchema(
-        tuple(Field(f["name"], f["kind"], tuple(f["vocab"])) for f in header["schema"])
-    )
-    sd = dict(header["spec"])
-    sd["ablation"] = Ablation(**sd["ablation"])
-    sd["block_widths"] = tuple(sd["block_widths"])
-    sd["top_widths"] = tuple(sd["top_widths"])
-    model = Model(ModelSpec(**sd), schema, draw_init=False)
+    header = _checked(f"{path}: checkpoint header", header, _HEADER_SHAPE)
+    try:
+        schema = FeatureSchema(tuple(Field(f["name"], f["kind"], tuple(f["vocab"])) for f in header["schema"]))
+        spec = ModelSpec(**header["spec"] | {"ablation": Ablation(**header["spec"]["ablation"])})
+    except (ConfigError, SchemaError) as exc:
+        raise CheckpointError(f"{path}: checkpoint header: {exc}") from None
+    model = Model(spec, schema, draw_init=False)
 
     store = model.store
     manifest = header["arrays"]

@@ -1,4 +1,5 @@
 import configparser
+import json
 import subprocess
 import sys
 import tempfile
@@ -9,14 +10,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from masknet.cli import (
     _SECTIONS,
+    _TRAIN_FLAGS,
     DataConfig,
     RunConfig,
+    _apply_overrides,
     _parse_value,
+    build_parser,
     build_run_config,
     main,
     parse_config_file,
 )
 from masknet.errors import ConfigError
+from masknet.evaluate import relaimp
 from masknet.maskblock import Ablation
 from masknet.model import TOPOLOGIES, ModelSpec
 from masknet.train import TrainConfig
@@ -111,6 +116,37 @@ def test_train_flag_overrides(tmp_path):
     assert "topology=serial" in report and "blocks=1" in report
 
 
+# flag, value, and where the value lands in the RunConfig
+FLAG_CASES = [
+    ("--topology", "parallel", lambda c: c.model.topology, "parallel"),
+    ("--blocks", "2", lambda c: c.model.block_widths, (64, 64)),
+    ("--width", "7", lambda c: c.model.block_widths, (7, 7, 7)),
+    ("--embedding-dim", "5", lambda c: c.model.embed_dim, 5),
+    ("--reduction-ratio", "3", lambda c: c.model.reduction, 3),
+    ("--ablate", "no_ln,no_ffn", lambda c: c.model.ablation, Ablation(no_ln=True, no_ffn=True)),
+    ("--epochs", "3", lambda c: c.train.epochs, 3),
+    ("--batch-size", "32", lambda c: c.train.batch_size, 32),
+    ("--learning-rate", "0.25", lambda c: c.train.learning_rate, 0.25),
+    ("--l2", "1e-05", lambda c: c.train.l2, 1e-5),
+    ("--seed", "9", lambda c: (c.seed, c.model.seed, c.train.seed), (9, 9, 9)),
+    ("--out", "somewhere/else", lambda c: c.out_dir, "somewhere/else"),
+]
+
+
+def test_every_train_flag_has_a_case():
+    assert [case[0] for case in FLAG_CASES] == list(_TRAIN_FLAGS)
+
+
+@pytest.mark.parametrize("command", ["train", "ablation", "sweep"])
+@pytest.mark.parametrize("flag, value, read, expected", FLAG_CASES, ids=[case[0] for case in FLAG_CASES])
+def test_flag_overrides_its_key(command, flag, value, read, expected):
+    sweep_args = ["--param", "blocks", "--values", "1"] if command == "sweep" else []
+    raw: dict[str, dict[str, str]] = {}
+    _apply_overrides(raw, build_parser().parse_args([command, "--config", "run.ini", flag, value] + sweep_args))
+    assert read(build_run_config(raw)) == expected
+    assert read(build_run_config({})) != expected  # the flag, not the default, set it
+
+
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[model]\ntopolgy = serial\n")
@@ -131,6 +167,30 @@ def test_undefined_metric_exit_code(tmp_path):
     cfg = write_config(tmp_path, out_name="run3")
     code = main(["train", "--config", str(cfg), "--baseline-auc", "0.4", "--epochs", "1"])
     assert code == 3
+    assert not (tmp_path / "run3" / "checkpoint.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", ["0.5", "nan", "inf", "1.5", "-0.7"])
+def test_baseline_auc_outside_its_range_exits_before_training(tmp_path, capsys, value, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with an invalid baseline")
+
+    monkeypatch.setattr("masknet.cli.run_experiment", no_training)
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--baseline-auc", value]) == 3
+    assert "error: RelaImp undefined" in capsys.readouterr().err
+    assert not (tmp_path / "run1").exists()
+
+
+@pytest.mark.parametrize("value", ["0.6", "1.0"])
+def test_train_report_with_baseline(tmp_path, value):
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--baseline-auc", value, "--baseline-name", "fm"]) == 0
+    report = dict(line.split("=", 1) for line in (tmp_path / "run1" / "eval_report.txt").read_text().splitlines())
+    assert report["test.baseline"] == "fm"
+    assert report["test.baseline_auc"] == f"{float(value):.6f}"
+    assert report["test.relaimp_pct"] == f"{relaimp(float(report['test.auc']), float(value)):+.2f}"
+    assert "valid.baseline" not in report
 
 
 def test_usage_error_exits_two():
@@ -168,24 +228,63 @@ def test_inspect_mask_rejects_maskless_checkpoint(tmp_path):
     assert code == 1  # dnn checkpoint has no mask units
 
 
-def test_inspect_mask_rejects_header_without_schema(tmp_path, capsys):
-    import json
-
+def inspect_mutated_checkpoint(tmp_path, mutate):
+    """Exit code of inspect-mask on a saved 2-block serial model whose header
+    `mutate` has edited in place, and the checkpoint's path."""
     from masknet.data import SyntheticSpec, gen_synthetic
-    from masknet.model import Model, ModelSpec, save_checkpoint
+    from masknet.model import Model, save_checkpoint
 
     schema = gen_synthetic(SyntheticSpec(fields=3, vocab=4, instances=20)).schema
     path = tmp_path / "model.ckpt"
-    save_checkpoint(Model(ModelSpec(block_widths=(3,), embed_dim=2), schema), str(path))
+    save_checkpoint(Model(ModelSpec(block_widths=(3, 3), embed_dim=2), schema), str(path))
     header_line, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(header_line)
-    del header["schema"]
+    mutate(header)
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     cfg = write_config(tmp_path)
-    code = main(["inspect-mask", "--checkpoint", str(path), "--config", str(cfg), "--out", str(tmp_path / "i")])
+    return main(["inspect-mask", "--checkpoint", str(path), "--config", str(cfg), "--out", str(tmp_path / "i")]), path
+
+
+def test_inspect_mask_rejects_header_without_schema(tmp_path, capsys):
+    code, _ = inspect_mutated_checkpoint(tmp_path, lambda h: h.pop("schema"))
     assert code == 1
     err = capsys.readouterr().err
     assert "'schema'" in err and "Traceback" not in err
+
+
+# (what is broken, how, the message's tail)
+HEADER_MUTATIONS = [
+    ("spec_extra_key", lambda h: h["spec"].update(extra=1), "header.spec has unknown entry 'extra'"),
+    ("spec_not_object", lambda h: h.update(spec=[1, 2]), "header.spec is not an object"),
+    ("spec_no_ablation", lambda h: h["spec"].pop("ablation"), "header.spec has no entry 'ablation'"),
+    ("schema_entry_no_kind", lambda h: h["schema"][0].pop("kind"), "header.schema[0] has no entry 'kind'"),
+    ("schema_not_list", lambda h: h.update(schema={"c1": "categorical"}), "header.schema is not a list"),
+    ("array_entry_no_shape", lambda h: h["arrays"][2].pop("shape"), "header.arrays[2] has no entry 'shape'"),
+    ("string_block_widths", lambda h: h["spec"].update(block_widths="3"), "header.spec.block_widths is not a list"),
+    ("spec_no_topology", lambda h: h["spec"].pop("topology"), "header.spec has no entry 'topology'"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", [m[1:] for m in HEADER_MUTATIONS], ids=[m[0] for m in HEADER_MUTATIONS])
+def test_inspect_mask_rejects_malformed_header(tmp_path, capsys, mutate, message):
+    code, path = inspect_mutated_checkpoint(tmp_path, mutate)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: checkpoint {message}\n"
+
+
+def test_train_names_the_line_of_an_oversized_csv_cell(tmp_path, capsys):
+    rows = [f"c{i % 3},{i}.5,{i % 2}" for i in range(12)]
+    rows[2] = "x" * 200_000 + ",2.5,0"  # line 4, past the csv module's 131072-character field limit
+    (tmp_path / "data.csv").write_text("c1,x1,label\n" + "\n".join(rows) + "\n")
+    (tmp_path / "schema.txt").write_text("c1,categorical\nx1,numerical\nlabel,label\n")
+    cfg = tmp_path / "csv.ini"
+    cfg.write_text(
+        f"[data]\nsource = csv\npath = {tmp_path / 'data.csv'}\nschema = {tmp_path / 'schema.txt'}\n"
+        f"[run]\nout_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: line 4: field larger than field limit (131072)\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", ["--batch-size", "--epochs"])
@@ -316,6 +415,12 @@ def test_key_outside_the_table_exits_two(section, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_file(str(path))
         assert main(["train", "--config", str(path)]) == 2
+
+
+def test_readme_lists_the_train_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("CLI flags (", 1)[1].split(") override", 1)[0]
+    assert [f.strip("`") for f in listed.replace(",", " ").split()] == list(_TRAIN_FLAGS)
 
 
 def test_readme_config_block_lists_the_table():

@@ -228,6 +228,19 @@ def test_error_names_physical_line_after_multi_line_cell():
 
 
 @pytest.mark.parametrize(
+    "rows, message",
+    [
+        # past the csv module's field size limit (131072 characters)
+        (["a,1.0,0", "b,2.0,1", "x" * 200_000 + ",3.0,0", "c,4.0,1"], "line 4: field larger than field limit"),
+        (["a,1.0,0", "b\rc,2.0,1"], "line 3: new-line character seen in unquoted field"),
+    ],
+)
+def test_csv_parse_error_names_line(rows, message):
+    with pytest.raises(IngestError, match="^" + message):
+        read_delimited(csv_of(rows), COLS)
+
+
+@pytest.mark.parametrize(
     "rows, error, message",
     [
         # the earliest faulty row wins, even over a later label fault

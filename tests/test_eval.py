@@ -61,6 +61,10 @@ def test_relaimp_reference_values():
     assert relaimp(0.7785, 0.7785) == 0.0
     with pytest.raises(MetricError):
         relaimp(0.6, 0.5)
+    assert relaimp(0.9, 1.0) == pytest.approx(-20.0)  # the largest baseline allowed
+    for base in (float("nan"), float("inf"), 1.5):
+        with pytest.raises(MetricError, match="outside"):
+            relaimp(0.6, base)
 
 
 def test_evaluate_model_report(rng):

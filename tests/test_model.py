@@ -246,17 +246,46 @@ def test_checkpoint_load_draws_no_initialisation(tmp_path, rng, monkeypatch, top
     assert again.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("key", ["schema", "spec", "arrays"])
-def test_checkpoint_header_missing_entry_rejected(tmp_path, key):
+def mutated_checkpoint(tmp_path, mutate):
+    """A saved linear model whose header `mutate` has edited in place."""
     model = Model(ModelSpec(topology="linear", block_widths=()), small_schema())
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     header_line, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(header_line)
-    del header[key]
+    mutate(header)
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return str(path)
+
+
+@pytest.mark.parametrize("key", ["schema", "spec", "arrays"])
+def test_checkpoint_header_missing_entry_rejected(tmp_path, key):
     with pytest.raises(CheckpointError, match=key):
-        load_checkpoint(str(path))
+        load_checkpoint(mutated_checkpoint(tmp_path, lambda h: h.pop(key)))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda h: h.update(extra=1), "header has unknown entry 'extra'"),
+        (lambda h: h["spec"].update(topology="mlp"), "unknown topology 'mlp'"),
+        (lambda h: h["spec"].update(ln_eps=float("nan")), "ln_eps must be finite"),
+        (lambda h: h["spec"].update(embed_dim=True), "header.spec.embed_dim is not of type int"),
+        (lambda h: h["spec"].update(reduction=2.0), "header.spec.reduction is not of type int"),
+        (lambda h: h["spec"]["ablation"].update(no_ln=1), "header.spec.ablation.no_ln is not of type bool"),
+        (lambda h: h["schema"].append(dict(h["schema"][0])), "duplicate field names"),
+        (lambda h: h["schema"][1].update(vocab=["a", 2]), r"header.schema\[1\].vocab\[1\] is not of type str"),
+        (lambda h: h["arrays"][0].update(shape=[2.0]), r"header.arrays\[0\].shape\[0\] is not of type int"),
+    ],
+)
+def test_checkpoint_header_values_rejected(tmp_path, mutate, message):
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(mutated_checkpoint(tmp_path, mutate))
+
+
+def test_checkpoint_header_accepts_an_integer_for_a_float(tmp_path):
+    model = load_checkpoint(mutated_checkpoint(tmp_path, lambda h: h["spec"].update(mask_bias_init=1)))
+    assert model.spec.mask_bias_init == 1.0
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
