@@ -142,7 +142,9 @@ def _model_case(spec: ModelSpec, rng, name: str, lam: float = 0.0, head_scale: f
     num = rng.normal(size=(3, len(_TINY_SCHEMA.numerical)))
     labels = rng.integers(0, 2, size=3).astype(np.float64)
     f = objective_closure(model, cat.astype(np.int64), num, labels, lam=lam)
-    return gradcheck(f, model.store, tol=1e-4, name=name)
+    # central differences err by O(h^2); near the saturated slices of width-2
+    # and -3 hidden LN blocks the default h=1e-4 alone exceeds the tolerance
+    return gradcheck(f, model.store, h=1e-6, tol=1e-4, name=name)
 
 
 def run_suite(seed: int = 0) -> list[GradcheckReport]:

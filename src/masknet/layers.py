@@ -34,10 +34,13 @@ def layer_norm_fwd(
     """
     if x.shape[x.ndim - g.ndim :] != g.shape or g.shape != b.shape:
         raise DimensionError(f"layer_norm: x {x.shape} vs gain {g.shape} / bias {b.shape}")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
+    # np.add.reduce is what ndarray.mean/var run under their Python-level
+    # wrappers, in the same order, so the bits match; on a 1-row forward the
+    # wrappers cost more than the arithmetic.
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, -1, keepdims=True) / n
+    inv_std = 1.0 / np.sqrt(np.add.reduce(np.square(xc), -1, keepdims=True) / n + eps)
+    xhat = xc * inv_std
     return g * xhat + b, (xhat, inv_std)
 
 
@@ -50,10 +53,11 @@ def layer_norm_bwd(
     dg = (dy * xhat).sum(axis=lead)
     db = dy.sum(axis=lead)
     dxhat = dy * g
+    n = dy.shape[-1]
     dx = inv_std * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, -1, keepdims=True) / n
+        - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / n)
     )
     return dx, dg, db
 
@@ -144,9 +148,3 @@ def apply_mask(mask: np.ndarray, target: np.ndarray) -> np.ndarray:
 def apply_mask_bwd(dy: np.ndarray, mask: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients flow to both operands: (dmask, dtarget)."""
     return dy * target, dy * mask
-
-
-def mask_unit_param_count(m: int, z: int, r: int) -> int:
-    """Closed-form parameter count of one mask unit (t = r*z)."""
-    t = r * z
-    return t * m + t + z * t + z

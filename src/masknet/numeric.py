@@ -143,23 +143,18 @@ def relu_bwd(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 def sigmoid(s):
     """Numerically stable logistic function, elementwise.
 
-    Uses the sign-split form (1/(1+e^-s) vs e^s/(1+e^s)) and clips the result
-    to [SIGMOID_FLOOR, 1-SIGMOID_FLOOR] so outputs stay strictly inside (0, 1).
-    Accepts scalars or arrays; returns the same kind.
+    Uses the sign-split form (1/(1+e^-s) vs e^s/(1+e^s)), both halves read
+    off e = e^-|s|, and clips the result to [SIGMOID_FLOOR, 1-SIGMOID_FLOOR]
+    so outputs stay strictly inside (0, 1).  Accepts scalars or arrays;
+    returns the same kind.
     """
     arr = np.asarray(s, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    es = np.exp(arr[~pos])
-    out[~pos] = es / (1.0 + es)
-    np.clip(out, SIGMOID_FLOOR, 1.0 - SIGMOID_FLOOR, out=out)
+    e = np.exp(-np.abs(arr))
+    d = 1.0 + e
+    out = np.where(arr >= 0, 1.0 / d, e / d)
+    # np.clip's arithmetic (nan kept) without its Python-level wrapper
+    np.minimum(np.maximum(out, SIGMOID_FLOOR, out=out), 1.0 - SIGMOID_FLOOR, out=out)
     return float(out) if np.isscalar(s) else out
-
-
-def sigmoid_bwd(dy, y):
-    """dL/ds for y = sigmoid(s)."""
-    return dy * y * (1.0 - y)
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,6 @@ def add_l2_grad(store: ParamStore, lam: float) -> None:
         store.grad_buf += 2.0 * lam * store.param_buf
 
 
-def objective(model: Model, cat: np.ndarray, num: np.ndarray, labels: np.ndarray, lam: float) -> float:
-    """Mean log loss plus lam * ||theta||^2 over every trainable parameter."""
-    probs, _ = model.forward(cat, num)
-    return logloss(probs, labels) + l2_penalty(model.store, lam)
-
-
 def train_step(model: Model, cat: np.ndarray, num: np.ndarray, labels: np.ndarray, lam: float) -> tuple[float, dict]:
     """The gradient of one minibatch: zero the gradients, then forward,
     backward and the L2 term.  Returns (mean log loss without the L2 term,

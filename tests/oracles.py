@@ -13,6 +13,8 @@ import math
 import numpy as np
 
 from masknet.errors import IngestError, SchemaError
+from masknet.numeric import SIGMOID_FLOOR
+from masknet.train import l2_penalty, logloss
 
 
 def o_affine(w, b, x):
@@ -282,3 +284,73 @@ def o_dataset_to_csv(ds, delimiter):
             row.append(repr(float(ds.logits[i])))
         writer.writerow(row)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Whole-array reference formulations.  The package computes the same
+# arithmetic with bare ufuncs; these keep numpy's own spelling of it, so a
+# comparison with np.array_equal pins that the bits did not change.
+# ---------------------------------------------------------------------------
+
+
+def o_layer_norm_np(x, g, b, eps):
+    """Layer norm over the last axis through ndarray.mean and ndarray.var;
+    returns (y, xhat, inv_std)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    return g * xhat + b, xhat, inv_std
+
+
+def o_layer_norm_bwd_np(dy, xhat, inv_std, g):
+    """(dx, dg, db) of layer norm through ndarray.mean."""
+    lead = tuple(range(dy.ndim - g.ndim))
+    dxhat = dy * g
+    dx = inv_std * (
+        dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, (dy * xhat).sum(axis=lead), dy.sum(axis=lead)
+
+
+def o_sigmoid_sign_split(s):
+    """The sign-split logistic by boolean indexing, clipped like the package's."""
+    arr = np.asarray(s, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    es = np.exp(arr[~pos])
+    out[~pos] = es / (1.0 + es)
+    return np.clip(out, SIGMOID_FLOOR, 1.0 - SIGMOID_FLOOR)
+
+
+def sigmoid_bwd(dy, y):
+    """dL/ds for y = sigmoid(s)."""
+    return dy * y * (1.0 - y)
+
+
+# ---------------------------------------------------------------------------
+# Accounting and the training objective, written out for the tests that
+# pin them
+# ---------------------------------------------------------------------------
+
+
+def mask_unit_param_count(m, z, r):
+    """Closed-form parameter count of one mask unit (t = r*z)."""
+    t = r * z
+    return t * m + t + z * t + z
+
+
+def group_count(model, prefix):
+    """Total size of parameters whose dotted name starts with `prefix`."""
+    return sum(
+        arr.size
+        for name, arr in model.store.params.items()
+        if name == prefix or name.startswith(prefix + ".")
+    )
+
+
+def objective(model, cat, num, labels, lam):
+    """Mean log loss plus lam * ||theta||^2 over every trainable parameter."""
+    probs, _ = model.forward(cat, num)
+    return logloss(probs, labels) + l2_penalty(model.store, lam)

@@ -66,9 +66,10 @@ def central(bundles):
     return runs, time.time() - t0
 
 
-def test_criterion_1_gradients():
+@pytest.mark.parametrize("seed", [0, 2, 3])  # 2 and 3 failed on correct gradients at h = 1e-4
+def test_criterion_1_gradients(seed):
     t0 = time.time()
-    reports = run_suite(seed=0)
+    reports = run_suite(seed=seed)
     elapsed = time.time() - t0
     for rep in reports:
         assert rep.passed, rep.line()
@@ -82,7 +83,7 @@ def test_criterion_1_gradients():
         assert required in names, required
     assert elapsed < 60.0, f"gradcheck suite took {elapsed:.1f}s"
     worst = max(r.max_rel_err for r in reports)
-    print(f"CRITERION 1 (gradients): PASS - {len(reports)} checks, worst rel err {worst:.2e}, {elapsed:.1f}s")
+    print(f"CRITERION 1 (gradients, seed {seed}): PASS - {len(reports)} checks, worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_2a_auc_brute_force():

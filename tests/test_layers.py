@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from masknet.errors import ConfigError, DimensionError
 from masknet.gradchecks import LAYER_CASES, layer_check
@@ -7,13 +9,20 @@ from masknet.layers import (
     DEFAULT_LN_EPS,
     apply_mask,
     instance_mask_fwd,
+    layer_norm_bwd,
     layer_norm_fwd,
     ln_emb_fwd,
     ln_hid_fwd,
-    mask_unit_param_count,
 )
 from masknet.numeric import make_rng
-from oracles import o_instance_mask, o_layer_norm, o_ln_emb
+from oracles import (
+    mask_unit_param_count,
+    o_instance_mask,
+    o_layer_norm,
+    o_layer_norm_bwd_np,
+    o_layer_norm_np,
+    o_ln_emb,
+)
 
 
 def test_layer_norm_two_point():
@@ -40,6 +49,43 @@ def test_layer_norm_matches_oracle(rng):
     b = rng.normal(size=6)
     y, _ = layer_norm_fwd(x[None, :], g, b)
     assert np.allclose(y[0], o_layer_norm(x, g, b, DEFAULT_LN_EPS), atol=1e-12)
+
+
+@st.composite
+def layer_norm_inputs(draw):
+    """x of shape (B, H) or (B, f, k), some slices constant, with g, b and dy."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 5), st.integers(1, 12)), st.tuples(*[st.integers(1, 5)] * 3)))
+    values = st.floats(-1e3, 1e3, allow_subnormal=False)
+    x = draw(hnp.arrays(np.float64, shape, elements=values))
+    constant = draw(hnp.arrays(np.bool_, shape[:-1]))
+    x[constant] = x[constant][..., :1]
+    g, b = (draw(hnp.arrays(np.float64, shape[1:], elements=values)) for _ in range(2))
+    return x, g, b, draw(hnp.arrays(np.float64, shape, elements=values))
+
+
+@given(layer_norm_inputs())
+def test_layer_norm_bits_match_the_mean_var_formulation(inputs):
+    x, g, b, dy = inputs
+    y, (xhat, inv_std) = layer_norm_fwd(x, g, b)
+    want_y, want_xhat, want_inv_std = o_layer_norm_np(x, g, b, DEFAULT_LN_EPS)
+    assert np.array_equal(y, want_y) and np.array_equal(xhat, want_xhat) and np.array_equal(inv_std, want_inv_std)
+    for got, want in zip(layer_norm_bwd(dy, (xhat, inv_std), g), o_layer_norm_bwd_np(dy, xhat, inv_std, g)):
+        assert np.array_equal(got, want)
+
+
+@given(st.integers(2, 16), st.data())
+def test_layer_norm_invariant_to_scaling_and_shifting_a_slice(h, data):
+    """LN(a*x + c) = LN(x) for a > 0 but for eps and rounding.  Neighbouring
+    entries of a slice are at least 1 apart, so its variance is at least 0.25;
+    with a >= 0.5, eps = 1e-8 moves xhat by at most
+    0.5 * eps / a^2 * sqrt(h) / var <= 3.2e-7, and rounding a*x + c for
+    |c| <= 100 by about 1e-13."""
+    rows = data.draw(st.integers(1, 4))
+    x = data.draw(hnp.arrays(np.float64, (rows, h), elements=st.floats(-1.0, 1.0))) + 3.0 * np.arange(h)
+    a = data.draw(hnp.arrays(np.float64, (rows, 1), elements=st.floats(0.5, 10.0)))
+    c = data.draw(hnp.arrays(np.float64, (rows, 1), elements=st.floats(-100.0, 100.0)))
+    g, b = np.ones(h), np.zeros(h)
+    assert np.abs(layer_norm_fwd(a * x + c, g, b)[0] - layer_norm_fwd(x, g, b)[0]).max() <= 1e-6
 
 
 def test_layer_norm_shape_mismatch():

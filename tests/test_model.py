@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import random_batch, small_schema
-from masknet.data import CATEGORICAL, Field, FeatureSchema
+from masknet.data import CATEGORICAL, Dataset, Field, FeatureSchema
 from masknet.errors import CheckpointError, ConfigError
 from masknet.maskblock import Ablation
 from masknet.model import (
+    SCORE_TILE,
     Model,
     ModelSpec,
-    group_count,
     load_checkpoint,
     param_breakdown,
     param_count,
     save_checkpoint,
 )
 from masknet.numeric import make_rng
-from oracles import o_forward_dnn, o_forward_parallel, o_forward_serial
+from oracles import group_count, o_forward_dnn, o_forward_parallel, o_forward_serial
 
 
 def with_random_head(model, seed=9):
@@ -173,6 +173,63 @@ def test_equal_encodings_give_equal_predictions(rng):
     num2 = np.repeat(num, 2, axis=0)
     probs, _ = model.forward(cat2, num2)
     assert probs[0] == probs[1]
+
+
+# Every topology and every serial ablation, for the scoring tests.
+SCORING_SPECS = {
+    "serial": dict(topology="serial"),
+    "parallel": dict(topology="parallel", top_widths=(5,)),
+    "dnn": dict(topology="dnn"),
+    "linear": dict(topology="linear"),
+} | {f"serial_{name}": dict(topology="serial", ablation=Ablation.from_names([name])) for name in ("no_mask", "no_ln", "no_ffn")}
+
+
+def scoring_set(n):
+    """n rows over two categorical fields (OOV indices included) and a numerical one."""
+    schema = small_schema(f_cat=2, f_num=1, vocab=3)
+    cat, num, labels = random_batch(schema, make_rng(21, 13), n=n)
+    return Dataset(schema, cat, num, labels)
+
+
+def scoring_model(case, schema):
+    model = Model(ModelSpec(block_widths=(6, 5), embed_dim=3, seed=7, **SCORING_SPECS[case]), schema)
+    model.store.param_buf[...] += make_rng(7, 13).normal(scale=0.5, size=model.store.size())
+    return model
+
+
+@pytest.mark.parametrize("case", list(SCORING_SPECS))
+def test_predict_is_tile_invariant_and_matches_one_row_forwards(case):
+    ds = scoring_set(600)  # not a multiple of the tile
+    model = scoring_model(case, ds.schema)
+    probs = model.predict(ds)
+    for batch_size in (SCORE_TILE, 4096, ds.n):
+        assert np.array_equal(model.predict(ds, batch_size=batch_size), probs), batch_size
+    # a 1-row forward runs GEMV instead of GEMM, so it agrees to rounding only
+    rows = np.concatenate([model.forward(ds.cat[i : i + 1], ds.num[i : i + 1])[0] for i in range(ds.n)])
+    assert np.abs(rows - probs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [600, 2 * SCORE_TILE + 1, 3 * SCORE_TILE + 18])
+@pytest.mark.parametrize("case", ["serial", "parallel", "dnn"])
+def test_predict_has_the_bits_of_one_forward_over_every_row(case, n):
+    # a last tile of a few rows would run through other BLAS kernels
+    ds = scoring_set(n)
+    model = scoring_model(case, ds.schema)
+    assert np.array_equal(model.predict(ds), model.forward(ds.cat, ds.num)[0])
+
+
+@pytest.mark.parametrize(
+    "n, batch_size, calls",
+    [(600, 4096, [256, 344]), (600, 300, [256, 256, 88]), (600, 100, [100] * 6), (200, 4096, [200]), (0, 4096, [])],
+)
+def test_predict_forward_calls(monkeypatch, n, batch_size, calls):
+    ds = scoring_set(n)
+    model = scoring_model("dnn", ds.schema)
+    seen = []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda cat, num: seen.append(len(cat)) or forward(cat, num))
+    assert model.predict(ds, batch_size=batch_size).shape == (n,)
+    assert seen == calls
 
 
 def test_checkpoint_round_trip(tmp_path, rng):

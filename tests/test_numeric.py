@@ -11,10 +11,12 @@ from masknet.numeric import (
     gradcheck,
     make_rng,
     sigmoid,
-    sigmoid_bwd,
     relu_bwd,
     relu_fwd,
 )
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import o_sigmoid_sign_split, sigmoid_bwd
 
 
 def test_affine_identity():
@@ -72,6 +74,24 @@ def test_sigmoid_values():
     assert sigmoid(800.0) < 1.0
     big = sigmoid(np.array([-1e4, 1e4, 0.0]))
     assert np.all(np.isfinite(big)) and np.all((big > 0) & (big < 1))
+
+
+# Both sides of 0, the exp underflow and overflow edges and the clip edges.
+SIGMOID_EDGES = [v for p in (0.0, 1e-300, 36.8, 709.8, 745.2, 1e4, np.inf) for v in (p, -p)] + [np.nan]
+
+
+def test_sigmoid_bits_match_the_sign_split_oracle():
+    want = o_sigmoid_sign_split(np.array(SIGMOID_EDGES))
+    assert np.array_equal(sigmoid(np.array(SIGMOID_EDGES)), want, equal_nan=True)
+    for s, w in zip(SIGMOID_EDGES, want):
+        out = sigmoid(s)
+        assert type(out) is float
+        assert np.array_equal(out, w, equal_nan=True), s
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0), elements=st.floats()))
+def test_sigmoid_bits_match_the_sign_split_oracle_anywhere(s):
+    assert np.array_equal(sigmoid(s), o_sigmoid_sign_split(s), equal_nan=True)
 
 
 def test_sigmoid_matches_definition():

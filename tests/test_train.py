@@ -14,12 +14,11 @@ from masknet.train import (
     adam_step,
     add_l2_grad,
     logloss,
-    objective,
     objective_closure,
     train,
     train_step,
 )
-from oracles import adam_trace, o_adam_arrays
+from oracles import adam_trace, o_adam_arrays, objective
 
 
 def test_logloss_values():
