@@ -254,7 +254,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_inspect_mask(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
-    if model.spec.topology not in ("serial", "parallel") or model.spec.ablation.no_mask:
+    if not model.has_mask_units:
         raise CheckpointError(
             f"checkpoint topology {model.spec.topology!r} "
             f"(ablation={model.spec.ablation.names()}) has no mask units to inspect"

@@ -20,8 +20,8 @@ from .errors import SchemaError
 from .numeric import ParamStore
 
 
-def embedding_param_names(schema: FeatureSchema) -> list[str]:
-    return [f"emb.{f.name}" for f in schema.fields]
+def embedding_param_names(schema: FeatureSchema, prefix: str = "emb") -> list[str]:
+    return [f"{prefix}.{f.name}" for f in schema.fields]
 
 
 def init_embedding(schema: FeatureSchema, k: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -33,9 +33,11 @@ def init_embedding(schema: FeatureSchema, k: int, rng: np.random.Generator) -> d
     }
 
 
-def embedding_tables(store: ParamStore, schema: FeatureSchema, k: int) -> tuple[np.ndarray, np.ndarray]:
+def embedding_tables(
+    store: ParamStore, schema: FeatureSchema, k: int, prefix: str = "emb"
+) -> tuple[np.ndarray, np.ndarray]:
     """(R, k) views of the embedding rows in the parameter and gradient buffers."""
-    sl = store.span(embedding_param_names(schema))
+    sl = store.span(embedding_param_names(schema, prefix))
     return store.param_buf[sl].reshape(-1, k), store.grad_buf[sl].reshape(-1, k)
 
 

@@ -46,7 +46,8 @@ class Ablation:
 
 @dataclass
 class BlockParams:
-    """Arrays for one block; mask/ffn/ln entries are None when ablated away."""
+    """Arrays for one block, each field named by the last part of its
+    parameter name; mask/ffn/ln entries are None when ablated away."""
 
     w1: np.ndarray | None = None  # aggregation (t, m)
     b1: np.ndarray | None = None  # (t,)
@@ -55,6 +56,32 @@ class BlockParams:
     w: np.ndarray | None = None  # feed-forward (q, z)
     g: np.ndarray | None = None  # output LN gain (q,)
     b: np.ndarray | None = None  # output LN bias (q,)
+
+    @classmethod
+    def named(cls, arrays: dict[str, np.ndarray], prefix: str) -> "BlockParams":
+        """The block `prefix`'s arrays out of a name -> array map (a store's
+        parameters or gradients)."""
+        return cls(**{n.rpartition(".")[2]: a for n, a in arrays.items() if n.startswith(f"{prefix}.")})
+
+
+def block_arrays(
+    prefix: str, m: int, z: int, q: int, ab: Ablation, reduction: int, mask_bias_init: float, rng
+) -> dict[str, np.ndarray]:
+    """Initial arrays of one block reading an m-wide embedding and masking a
+    z-wide target, named `prefix`.<part>, in store order."""
+    arrays = {}
+    if not ab.no_mask:
+        t = reduction * z
+        arrays["mask.w1"] = rng.normal(0.0, 1.0 / np.sqrt(m), size=(t, m))
+        arrays["mask.b1"] = np.zeros(t)
+        arrays["mask.w2"] = rng.normal(0.0, 1.0 / np.sqrt(t), size=(z, t))
+        arrays["mask.b2"] = np.full(z, mask_bias_init)
+    if not ab.no_ffn:
+        arrays["ffn.w"] = rng.normal(0.0, 1.0 / np.sqrt(z), size=(q, z))
+        if not ab.no_ln:
+            arrays["ln.g"] = np.ones(q)
+            arrays["ln.b"] = np.zeros(q)
+    return {f"{prefix}.{n}": a for n, a in arrays.items()}
 
 
 def block_output_width(target_width: int, q: int, ab: Ablation) -> int:
@@ -94,30 +121,30 @@ def maskblock_fwd(
 
 
 def maskblock_bwd(
-    dout: np.ndarray, cache: dict, p: BlockParams, ab: Ablation
-) -> tuple[np.ndarray | None, np.ndarray, dict[str, np.ndarray]]:
-    """Returns (d_v_emb through the mask path or None, d_target, param grads)."""
-    grads: dict[str, np.ndarray] = {}
+    dout: np.ndarray, cache: dict, p: BlockParams, g: BlockParams, ab: Ablation
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Adds the parameter gradients into `g`; returns (d_v_emb through the
+    mask path or None, d_target)."""
     if ab.no_ffn:
         dmasked = dout
     elif ab.no_ln:
         dz = relu_bwd(dout, cache["z"])
         dmasked, dw, _ = affine_bwd(dz, cache["masked"], p.w, with_bias=False)
-        grads["w"] = dw
+        g.w += dw
     else:
         dmasked, dw, dg, db = ln_hid_bwd(dout, cache["hcache"], p.w, p.g)
-        grads["w"] = dw
-        grads["g"] = dg
-        grads["b"] = db
+        g.w += dw
+        g.g += dg
+        g.b += db
     if ab.no_mask:
-        return None, dmasked, grads
+        return None, dmasked
     dmask, dtarget = apply_mask_bwd(dmasked, cache["mask"], cache["target"])
     dv, dw1, db1, dw2, db2 = instance_mask_bwd(dmask, cache["mcache"], p.w1, p.w2)
-    grads["w1"] = dw1
-    grads["b1"] = db1
-    grads["w2"] = dw2
-    grads["b2"] = db2
-    return dv, dtarget, grads
+    g.w1 += dw1
+    g.b1 += db1
+    g.w2 += dw2
+    g.b2 += db2
+    return dv, dtarget
 
 
 def block_relu_pre(cache: dict, ab: Ablation) -> list[np.ndarray]:

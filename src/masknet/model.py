@@ -1,33 +1,39 @@
 """Model topologies and the prediction head.
 
-Four topologies share one store/forward/backward interface:
+Every topology is one composition path, fixed by three facts that `Model`
+reads off the spec once:
 
-- serial:   MaskBlock on the embedding, then MaskBlocks stacked on each other;
-            every block's mask reads the same instance embedding
-- parallel: a bank of MaskBlocks on the shared embedding, concatenated and fed
-            to a plain ReLU MLP
-- dnn:      embedding -> ReLU MLP baseline (no masks, no LN)
-- linear:   per-feature logistic regression baseline (no embeddings)
+    embedding -> [per-field LN] -> MaskBlocks -> [concat] -> ReLU MLP -> head
 
-The head is a single affine + sigmoid.  Head weights start at zero so the
-initial prediction is exactly 0.5 and the initial log loss is ln 2, a handy
-training anchor.
+- serial:   MaskBlocks chained: the first masks the (normalized) embedding,
+            each later one the previous block's output; no MLP
+- parallel: MaskBlocks banked on the shared embedding, their outputs
+            concatenated and fed to a ReLU MLP of `top_widths`
+- dnn:      no blocks and no LN: embedding -> ReLU MLP of `block_widths`
+- linear:   per-feature logistic regression: k=1 embedding tables whose rows
+            are the weights, summed with a bias `lin.w0`
+
+Every mask unit reads the raw instance embedding.  The head is a single
+affine + sigmoid.  Head weights start at zero so the initial prediction is
+exactly 0.5 and the initial log loss is ln 2, a handy training anchor.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .data import CATEGORICAL, Dataset, FeatureSchema, Field
-from .embedding import embed_bwd, embed_fwd, embedding_tables, init_embedding
+from .embedding import embed_bwd, embed_fwd, embedding_param_names, embedding_tables, init_embedding
 from .errors import CheckpointError, ConfigError, SchemaError, check_finite_fields
 from .layers import DEFAULT_LN_EPS, ln_emb_bwd, ln_emb_fwd
 from .maskblock import (
     Ablation,
     BlockParams,
+    block_arrays,
     block_output_width,
     block_relu_pre,
     maskblock_bwd,
@@ -47,17 +53,6 @@ TOPOLOGIES = ("serial", "parallel", "dnn", "linear")
 # kernels, whose last bits differ, so `predict` never leaves such a sliver:
 # its last call takes the rest of the rows.
 SCORE_TILE = 256
-
-# BlockParams fields (and maskblock grad keys) -> parameter name suffixes
-_BLOCK_KEYS = {
-    "w1": "mask.w1",
-    "b1": "mask.b1",
-    "w2": "mask.w2",
-    "b2": "mask.b2",
-    "w": "ffn.w",
-    "g": "ln.g",
-    "b": "ln.b",
-}
 
 
 @dataclass(frozen=True)
@@ -110,17 +105,21 @@ class Model:
         the whole store (a checkpoint load)."""
         self.spec = spec
         self.schema = schema
+        # The topology as three facts: the MaskBlock widths; whether the
+        # blocks bank on the embedding and are concatenated (parallel) or
+        # chain, each masking the previous block's output (serial); and the
+        # widths of the ReLU MLP between the blocks and the head.
+        self.mask_block_widths = spec.block_widths if spec.topology in ("serial", "parallel") else ()
+        self.banked = spec.topology == "parallel"
+        self.mlp_widths = {"parallel": spec.top_widths, "dnn": spec.block_widths}.get(spec.topology, ())
+        self.has_mask_units = bool(self.mask_block_widths) and not spec.ablation.no_mask
         rng = make_rng(spec.seed, INIT_STREAM) if draw_init else _Undrawn()
         self.store = ParamStore(self._init_arrays(rng))
-        p = self.store.params
-        self._blocks: list[BlockParams] = []
-        if spec.topology in ("serial", "parallel"):
-            self._blocks = [
-                BlockParams(**{key: p.get(f"block{i}.{suffix}") for key, suffix in _BLOCK_KEYS.items()})
-                for i in range(1, spec.u + 1)
-            ]
-        if spec.topology != "linear":
-            self._emb, self._emb_grad = embedding_tables(self.store, schema, spec.embed_dim)
+        names = [f"block{i}" for i in range(1, len(self.mask_block_widths) + 1)]
+        self._blocks = [BlockParams.named(self.store.params, n) for n in names]
+        self._block_grads = [BlockParams.named(self.store.grads, n) for n in names]
+        prefix, k = ("lin", 1) if spec.topology == "linear" else ("emb", spec.embed_dim)
+        self._emb, self._emb_grad = embedding_tables(self.store, schema, k, prefix)
 
     # ----- construction ----------------------------------------------------
 
@@ -132,54 +131,38 @@ class Model:
         k = spec.embed_dim
 
         if spec.topology == "linear":
+            # one weight per category (OOV included) or numerical field
             arrays = {
-                f"lin.{fld.name}": np.zeros(fld.vocab_size + 1 if fld.kind == CATEGORICAL else 1)
-                for fld in schema.fields
+                name: np.zeros(fld.vocab_size + 1 if fld.kind == CATEGORICAL else 1)
+                for name, fld in zip(embedding_param_names(schema, "lin"), schema.fields)
             }
             arrays["lin.w0"] = np.zeros(1)
             return arrays
 
         arrays = init_embedding(schema, k, rng)
         m = schema.f * k
-
-        if spec.topology == "dnn":
-            width = m
-            for l, q in enumerate(spec.block_widths, start=1):
-                arrays[f"mlp{l}.w"] = rng.normal(0.0, 1.0 / np.sqrt(width), size=(q, width))
-                if spec.dnn_bias:
-                    arrays[f"mlp{l}.b"] = np.zeros(q)
-                width = q
-            return arrays | _head_arrays(width)
-
-        if not ab.no_ln:
+        if self.mask_block_widths and not ab.no_ln:
             arrays["ln_emb.g"] = np.ones((schema.f, k))
             arrays["ln_emb.b"] = np.zeros((schema.f, k))
 
         width = m
         out_widths = []
-        for i, q in enumerate(spec.block_widths, start=1):
-            z = m if spec.topology == "parallel" or i == 1 else width
-            if not ab.no_mask:
-                t = spec.reduction * z
-                arrays[f"block{i}.mask.w1"] = rng.normal(0.0, 1.0 / np.sqrt(m), size=(t, m))
-                arrays[f"block{i}.mask.b1"] = np.zeros(t)
-                arrays[f"block{i}.mask.w2"] = rng.normal(0.0, 1.0 / np.sqrt(t), size=(z, t))
-                arrays[f"block{i}.mask.b2"] = np.full(z, spec.mask_bias_init)
-            if not ab.no_ffn:
-                arrays[f"block{i}.ffn.w"] = rng.normal(0.0, 1.0 / np.sqrt(z), size=(q, z))
-                if not ab.no_ln:
-                    arrays[f"block{i}.ln.g"] = np.ones(q)
-                    arrays[f"block{i}.ln.b"] = np.zeros(q)
+        for i, q in enumerate(self.mask_block_widths, start=1):
+            z = m if self.banked else width
+            arrays |= block_arrays(f"block{i}", m, z, q, ab, spec.reduction, spec.mask_bias_init, rng)
             width = block_output_width(z, q, ab)
             out_widths.append(width)
-
-        if spec.topology == "parallel":
+        if self.banked:
             width = sum(out_widths)
-            for l, q in enumerate(spec.top_widths, start=1):
-                arrays[f"mlp{l}.w"] = rng.normal(0.0, 1.0 / np.sqrt(width), size=(q, width))
+
+        for l, q in enumerate(self.mlp_widths, start=1):
+            arrays[f"mlp{l}.w"] = rng.normal(0.0, 1.0 / np.sqrt(width), size=(q, width))
+            if spec.dnn_bias or self.banked:  # the parallel MLP always has biases
                 arrays[f"mlp{l}.b"] = np.zeros(q)
-                width = q
-        return arrays | _head_arrays(width)
+            width = q
+        arrays["head.w"] = np.zeros(width)
+        arrays["head.w0"] = np.zeros(1)
+        return arrays
 
     def block_params(self, i: int) -> BlockParams:
         """1-based accessor, mirroring block parameter names."""
@@ -197,44 +180,38 @@ class Model:
         spec = self.spec
         ab = spec.ablation
         cache: dict = {"cat": cat, "num": num, "relu_pre": []}
+        v_emb = embed_fwd(self._emb, self.schema, cat, num)
 
         if spec.topology == "linear":
-            logit = np.full(cat.shape[0] if cat.size else num.shape[0], p["lin.w0"][0])
-            for a, fld in enumerate(self.schema.categorical):
-                logit = logit + p[f"lin.{fld.name}"][cat[:, a]]
-            for j, fld in enumerate(self.schema.numerical):
-                logit = logit + p[f"lin.{fld.name}"][0] * num[:, j]
+            # the bias, then the categorical weights, then the numerical terms
+            rows = self.schema.table_rows
+            logit = np.full(len(v_emb), p["lin.w0"][0])
+            for pos in (*rows.cat_pos, *rows.num_pos):
+                logit += v_emb[:, pos]
         else:
-            v_emb = embed_fwd(self._emb, self.schema, cat, num)
             cache["v_emb"] = v_emb
-            if spec.topology == "dnn":
-                h = self._mlp_fwd(v_emb, len(spec.block_widths), cache)
-            else:
-                # the first serial block and every parallel block mask the
-                # per-field-normalized embedding (the raw one when LN is ablated)
-                emb_target = v_emb
-                if not ab.no_ln:
-                    emb_target, cache["ln_cache"] = ln_emb_fwd(
-                        v_emb, p["ln_emb.g"], p["ln_emb.b"], spec.embed_dim, spec.ln_eps
-                    )
-                bcaches = []
-                if spec.topology == "serial":
-                    h = emb_target
-                    for bp in self._blocks:
-                        h, bc = maskblock_fwd(v_emb, h, bp, ab, spec.ln_eps)
-                        cache["relu_pre"] += block_relu_pre(bc, ab)
-                        bcaches.append(bc)
-                else:  # parallel
-                    outs = []
-                    for bp in self._blocks:
-                        out, bc = maskblock_fwd(v_emb, emb_target, bp, ab, spec.ln_eps)
-                        cache["relu_pre"] += block_relu_pre(bc, ab)
-                        bcaches.append(bc)
-                        outs.append(out)
-                    cache["merge_widths"] = [o.shape[1] for o in outs]
-                    merged = np.concatenate(outs, axis=1)
-                    h = self._mlp_fwd(merged, len(spec.top_widths), cache)
-                cache["blocks"] = bcaches
+            # the first chained block and every banked block mask the
+            # per-field-normalized embedding (the raw one when LN is ablated)
+            target = v_emb
+            if "ln_emb.g" in p:
+                target, cache["ln_cache"] = ln_emb_fwd(
+                    v_emb, p["ln_emb.g"], p["ln_emb.b"], spec.embed_dim, spec.ln_eps
+                )
+            h, outs, cache["blocks"] = target, [], []
+            for bp in self._blocks:
+                h, bc = maskblock_fwd(v_emb, target if self.banked else h, bp, ab, spec.ln_eps)
+                cache["relu_pre"] += block_relu_pre(bc, ab)
+                cache["blocks"].append(bc)
+                outs.append(h)
+            if self.banked:
+                cache["merge_widths"] = [o.shape[1] for o in outs]
+                h = np.concatenate(outs, axis=1)
+            cache["mlp"] = []
+            for l in range(1, len(self.mlp_widths) + 1):
+                z = affine_fwd(h, p[f"mlp{l}.w"], p.get(f"mlp{l}.b"))
+                cache["mlp"].append((h, z))
+                cache["relu_pre"].append(z)
+                h = relu_fwd(z)
             cache["head_in"] = h
             logit = h @ p["head.w"] + p["head.w0"][0]
 
@@ -242,93 +219,58 @@ class Model:
         cache["probs"] = probs
         return probs, cache
 
-    def _mlp_fwd(self, x: np.ndarray, depth: int, cache: dict) -> np.ndarray:
-        p = self.store.params
-        steps = []
-        h = x
-        for l in range(1, depth + 1):
-            z = affine_fwd(h, p[f"mlp{l}.w"], p.get(f"mlp{l}.b"))
-            steps.append((h, z))
-            cache["relu_pre"].append(z)
-            h = relu_fwd(z)
-        cache["mlp"] = steps
-        return h
-
     # ----- backward --------------------------------------------------------
 
     def backward(self, cache: dict, dlogit: np.ndarray) -> None:
         """Accumulate dL/dtheta into store.grads given dL/dlogit per instance."""
         p, g = self.store.params, self.store.grads
-        spec = self.spec
-        ab = spec.ablation
-        cat, num = cache["cat"], cache["num"]
 
-        if spec.topology == "linear":
+        if self.spec.topology == "linear":
             g["lin.w0"] += dlogit.sum()
-            for a, fld in enumerate(self.schema.categorical):
-                np.add.at(g[f"lin.{fld.name}"], cat[:, a], dlogit)
-            for j, fld in enumerate(self.schema.numerical):
-                g[f"lin.{fld.name}"] += (dlogit * num[:, j]).sum()
-            return
+            dv_emb = np.broadcast_to(dlogit[:, None], (len(dlogit), self.schema.f))
+        else:
+            h = cache["head_in"]
+            g["head.w"] += h.T @ dlogit
+            g["head.w0"] += dlogit.sum()
+            dh = dlogit[:, None] * p["head.w"][None, :]
+            for l in range(len(cache["mlp"]), 0, -1):
+                x, z = cache["mlp"][l - 1]
+                has_bias = f"mlp{l}.b" in g
+                dh, dw, db = affine_bwd(relu_bwd(dh, z), x, p[f"mlp{l}.w"], with_bias=has_bias)
+                g[f"mlp{l}.w"] += dw
+                if has_bias:
+                    g[f"mlp{l}.b"] += db
+            dv_emb = self._blocks_bwd(dh, cache) if self._blocks else dh
 
-        h = cache["head_in"]
-        g["head.w"] += h.T @ dlogit
-        g["head.w0"] += dlogit.sum()
-        dh = dlogit[:, None] * p["head.w"][None, :]
+        embed_bwd(dv_emb, self._emb_grad, self.schema, cache["cat"], cache["num"])
 
-        if spec.topology == "dnn":
-            dv_emb = self._mlp_bwd(dh, cache)
-        elif spec.topology == "serial":
-            dv_emb = np.zeros_like(cache["v_emb"])
-            dprev = dh
-            for i in range(spec.u, 0, -1):
-                dv, dprev, grads = maskblock_bwd(dprev, cache["blocks"][i - 1], self._blocks[i - 1], ab)
-                self._accumulate_block(i, grads)
+    def _blocks_bwd(self, dh: np.ndarray, cache: dict) -> np.ndarray:
+        """dL/dv_emb from the gradient on the blocks' output: through every
+        mask unit, and through the targets and the per-field LN."""
+        ab = self.spec.ablation
+        dv_emb = np.zeros_like(cache["v_emb"])
+        steps = list(zip(self._blocks, self._block_grads, cache["blocks"]))
+        if self.banked:
+            dtarget = np.zeros_like(dv_emb)
+            bounds = [0, *accumulate(cache["merge_widths"])]
+            for (bp, bg, bc), lo, hi in zip(steps, bounds, bounds[1:]):
+                dv, dt = maskblock_bwd(dh[:, lo:hi], bc, bp, bg, ab)
                 if dv is not None:
                     dv_emb += dv
-            dv_emb += self._ln_emb_bwd(dprev, cache)
-        else:  # parallel
-            dmerged = self._mlp_bwd(dh, cache)
-            dv_emb = np.zeros_like(cache["v_emb"])
-            dln_e = np.zeros_like(cache["v_emb"])
-            off = 0
-            for i, w in enumerate(cache["merge_widths"], start=1):
-                dout = dmerged[:, off : off + w]
-                off += w
-                dv, dtarget, grads = maskblock_bwd(dout, cache["blocks"][i - 1], self._blocks[i - 1], ab)
-                self._accumulate_block(i, grads)
+                dtarget += dt
+        else:
+            dtarget = dh
+            for bp, bg, bc in reversed(steps):
+                dv, dtarget = maskblock_bwd(dtarget, bc, bp, bg, ab)
                 if dv is not None:
                     dv_emb += dv
-                dln_e += dtarget
-            dv_emb += self._ln_emb_bwd(dln_e, cache)
-
-        embed_bwd(dv_emb, self._emb_grad, self.schema, cat, num)
-
-    def _ln_emb_bwd(self, dtarget: np.ndarray, cache: dict) -> np.ndarray:
-        """Route the gradient on the blocks' embedding target back to v_emb."""
-        if self.spec.ablation.no_ln:
-            return dtarget
-        g = self.store.grads
-        dx, dg, db = ln_emb_bwd(dtarget, cache["ln_cache"], self.store.params["ln_emb.g"])
-        g["ln_emb.g"] += dg
-        g["ln_emb.b"] += db
-        return dx
-
-    def _accumulate_block(self, i: int, grads: dict[str, np.ndarray]) -> None:
-        for key, val in grads.items():
-            self.store.grads[f"block{i}.{_BLOCK_KEYS[key]}"] += val
-
-    def _mlp_bwd(self, dh: np.ndarray, cache: dict) -> np.ndarray:
-        g = self.store.grads
-        for l in range(len(cache["mlp"]), 0, -1):
-            x, z = cache["mlp"][l - 1]
-            dz = relu_bwd(dh, z)
-            has_bias = f"mlp{l}.b" in g
-            dh, dw, db = affine_bwd(dz, x, self.store.params[f"mlp{l}.w"], with_bias=has_bias)
-            g[f"mlp{l}.w"] += dw
-            if has_bias:
-                g[f"mlp{l}.b"] += db
-        return dh
+        if "ln_cache" in cache:
+            g = self.store.grads
+            dtarget, dg, db = ln_emb_bwd(dtarget, cache["ln_cache"], self.store.params["ln_emb.g"])
+            g["ln_emb.g"] += dg
+            g["ln_emb.b"] += db
+        dv_emb += dtarget
+        return dv_emb
 
     # ----- convenience -----------------------------------------------------
 
@@ -350,7 +292,7 @@ class Model:
 
     def mask_values(self, cat: np.ndarray, num: np.ndarray) -> list[np.ndarray]:
         """Per-block mask vectors for a batch (serial/parallel models only)."""
-        if self.spec.topology not in ("serial", "parallel") or self.spec.ablation.no_mask:
+        if not self.has_mask_units:
             raise ConfigError(f"model {self.spec.topology!r} (ablation={self.spec.ablation.names()}) has no mask units")
         _, cache = self.forward(cat, num)
         return [bc["mask"] for bc in cache["blocks"]]
@@ -363,10 +305,6 @@ class _Undrawn:
     @staticmethod
     def normal(loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
         return np.empty(size)
-
-
-def _head_arrays(width: int) -> dict[str, np.ndarray]:
-    return {"head.w": np.zeros(width), "head.w0": np.zeros(1)}
 
 
 def relu_pattern(cache: dict) -> np.ndarray | None:

@@ -5,6 +5,7 @@ from conftest import random_batch, small_schema
 from masknet.data import CATEGORICAL, NUMERICAL, Field, FeatureSchema
 from masknet.embedding import embed_bwd, embed_fwd, embedding_tables, init_embedding
 from masknet.errors import SchemaError
+from masknet.model import TOPOLOGIES, Model, ModelSpec
 from masknet.numeric import ParamStore, make_rng
 from oracles import o_embed
 
@@ -44,12 +45,16 @@ def test_width_is_fields_times_k():
     assert embed_fwd(table, schema, cat, num).shape == (2, 390)
 
 
-def test_out_of_range_index_rejected():
-    schema = small_schema(f_cat=1, f_num=0, vocab=2)
-    _, table, _ = build(schema, k=2)
-    bad = np.array([[3]], dtype=np.int64)  # vocab 2 + OOV slot allows max 2
-    with pytest.raises(SchemaError, match="c0"):
-        embed_fwd(table, schema, bad, np.zeros((1, 0)))
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_out_of_range_index_rejected(topology):
+    """Every topology scores through the embedding lookup, so every one
+    rejects an index outside a field's table, the linear baseline's k=1
+    table included, and names the field."""
+    schema = small_schema(f_cat=1, f_num=1, vocab=2)
+    model = Model(ModelSpec(topology=topology, block_widths=(3,), top_widths=(2,), embed_dim=2), schema)
+    for bad in (3, -1):  # vocab 2 + OOV slot allows 0..2
+        with pytest.raises(SchemaError, match="c0"):
+            model.forward(np.array([[bad]], dtype=np.int64), np.zeros((1, 1)))
 
 
 def test_gradient_sparsity_untouched_rows(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_batch, small_schema
-from masknet.data import CATEGORICAL, Dataset, Field, FeatureSchema
+from masknet.data import CATEGORICAL, NUMERICAL, Dataset, Field, FeatureSchema
 from masknet.errors import CheckpointError, ConfigError
 from masknet.maskblock import Ablation
 from masknet.model import (
@@ -282,6 +282,116 @@ def test_checkpoint_file_is_header_plus_arrays_in_manifest_order(tmp_path):
     assert data == header_line + b"\n" + payload
 
 
+# The v1 checkpoint array manifest: "name:shape" in store order, per
+# (topology, ablations or "no_bias"), for blocks (3, 2), top MLP (4,) and
+# k = 2 on a schema whose numerical field sits between two categorical ones.
+# A v1 file loads only into a model that rebuilds exactly this manifest.
+MANIFEST_SCHEMA = FeatureSchema(
+    (Field("a", CATEGORICAL, ("x", "y")), Field("u", NUMERICAL), Field("b", CATEGORICAL, ("p", "q", "r")))
+)
+V1_MANIFESTS = {
+    ("serial", ""): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 ln_emb.g:3x2 ln_emb.b:3x2 block1.mask.w1:12x6 "
+        "block1.mask.b1:12 block1.mask.w2:6x12 block1.mask.b2:6 block1.ffn.w:3x6 "
+        "block1.ln.g:3 block1.ln.b:3 block2.mask.w1:6x6 block2.mask.b1:6 block2.mask.w2:3x6 "
+        "block2.mask.b2:3 block2.ffn.w:2x3 block2.ln.g:2 block2.ln.b:2 head.w:2 head.w0:1"
+    ),
+    ("serial", "no_mask"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 ln_emb.g:3x2 ln_emb.b:3x2 block1.ffn.w:3x6 block1.ln.g:3 "
+        "block1.ln.b:3 block2.ffn.w:2x3 block2.ln.g:2 block2.ln.b:2 head.w:2 head.w0:1"
+    ),
+    ("serial", "no_ln"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 block1.mask.w1:12x6 block1.mask.b1:12 "
+        "block1.mask.w2:6x12 block1.mask.b2:6 block1.ffn.w:3x6 block2.mask.w1:6x6 "
+        "block2.mask.b1:6 block2.mask.w2:3x6 block2.mask.b2:3 block2.ffn.w:2x3 head.w:2 "
+        "head.w0:1"
+    ),
+    ("serial", "no_ffn"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 ln_emb.g:3x2 ln_emb.b:3x2 block1.mask.w1:12x6 "
+        "block1.mask.b1:12 block1.mask.w2:6x12 block1.mask.b2:6 block2.mask.w1:12x6 "
+        "block2.mask.b1:12 block2.mask.w2:6x12 block2.mask.b2:6 head.w:6 head.w0:1"
+    ),
+    ("serial", "no_mask,no_ln"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 block1.ffn.w:3x6 block2.ffn.w:2x3 head.w:2 head.w0:1"
+    ),
+    ("serial", "no_mask,no_ffn"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 ln_emb.g:3x2 ln_emb.b:3x2 head.w:6 head.w0:1"
+    ),
+    ("serial", "no_ln,no_ffn"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 block1.mask.w1:12x6 block1.mask.b1:12 "
+        "block1.mask.w2:6x12 block1.mask.b2:6 block2.mask.w1:12x6 block2.mask.b1:12 "
+        "block2.mask.w2:6x12 block2.mask.b2:6 head.w:6 head.w0:1"
+    ),
+    ("serial", "no_mask,no_ln,no_ffn"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 head.w:6 head.w0:1"
+    ),
+    ("parallel", ""): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 ln_emb.g:3x2 ln_emb.b:3x2 block1.mask.w1:12x6 "
+        "block1.mask.b1:12 block1.mask.w2:6x12 block1.mask.b2:6 block1.ffn.w:3x6 "
+        "block1.ln.g:3 block1.ln.b:3 block2.mask.w1:12x6 block2.mask.b1:12 "
+        "block2.mask.w2:6x12 block2.mask.b2:6 block2.ffn.w:2x6 block2.ln.g:2 block2.ln.b:2 "
+        "mlp1.w:4x5 mlp1.b:4 head.w:4 head.w0:1"
+    ),
+    ("parallel", "no_mask"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 ln_emb.g:3x2 ln_emb.b:3x2 block1.ffn.w:3x6 block1.ln.g:3 "
+        "block1.ln.b:3 block2.ffn.w:2x6 block2.ln.g:2 block2.ln.b:2 mlp1.w:4x5 mlp1.b:4 "
+        "head.w:4 head.w0:1"
+    ),
+    ("parallel", "no_ln"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 block1.mask.w1:12x6 block1.mask.b1:12 "
+        "block1.mask.w2:6x12 block1.mask.b2:6 block1.ffn.w:3x6 block2.mask.w1:12x6 "
+        "block2.mask.b1:12 block2.mask.w2:6x12 block2.mask.b2:6 block2.ffn.w:2x6 mlp1.w:4x5 "
+        "mlp1.b:4 head.w:4 head.w0:1"
+    ),
+    ("parallel", "no_ffn"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 ln_emb.g:3x2 ln_emb.b:3x2 block1.mask.w1:12x6 "
+        "block1.mask.b1:12 block1.mask.w2:6x12 block1.mask.b2:6 block2.mask.w1:12x6 "
+        "block2.mask.b1:12 block2.mask.w2:6x12 block2.mask.b2:6 mlp1.w:4x12 mlp1.b:4 head.w:4 "
+        "head.w0:1"
+    ),
+    ("parallel", "no_mask,no_ln"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 block1.ffn.w:3x6 block2.ffn.w:2x6 mlp1.w:4x5 mlp1.b:4 "
+        "head.w:4 head.w0:1"
+    ),
+    ("parallel", "no_mask,no_ffn"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 ln_emb.g:3x2 ln_emb.b:3x2 mlp1.w:4x12 mlp1.b:4 head.w:4 "
+        "head.w0:1"
+    ),
+    ("parallel", "no_ln,no_ffn"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 block1.mask.w1:12x6 block1.mask.b1:12 "
+        "block1.mask.w2:6x12 block1.mask.b2:6 block2.mask.w1:12x6 block2.mask.b1:12 "
+        "block2.mask.w2:6x12 block2.mask.b2:6 mlp1.w:4x12 mlp1.b:4 head.w:4 head.w0:1"
+    ),
+    ("parallel", "no_mask,no_ln,no_ffn"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 mlp1.w:4x12 mlp1.b:4 head.w:4 head.w0:1"
+    ),
+    ("dnn", ""): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 mlp1.w:3x6 mlp1.b:3 mlp2.w:2x3 mlp2.b:2 head.w:2 "
+        "head.w0:1"
+    ),
+    ("dnn", "no_bias"): (
+        "emb.a:3x2 emb.u:2 emb.b:4x2 mlp1.w:3x6 mlp2.w:2x3 head.w:2 head.w0:1"
+    ),
+    ("linear", ""): (
+        "lin.a:3 lin.u:1 lin.b:4 lin.w0:1"
+    ),
+}
+
+
+@pytest.mark.parametrize("topology, variant", list(V1_MANIFESTS))
+def test_v1_array_manifest_is_pinned(tmp_path, topology, variant):
+    if variant == "no_bias":
+        spec = ModelSpec(topology=topology, block_widths=(3, 2), embed_dim=2, dnn_bias=False)
+    else:
+        ablation = Ablation.from_names(variant.split(",") if variant else [])
+        spec = ModelSpec(topology=topology, block_widths=(3, 2), top_widths=(4,), embed_dim=2, ablation=ablation)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Model(spec, MANIFEST_SCHEMA), str(path))
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    manifest = " ".join(f"{a['name']}:{'x'.join(map(str, a['shape']))}" for a in header["arrays"])
+    assert manifest == V1_MANIFESTS[topology, variant]
+
+
 @pytest.mark.parametrize("topo", ["serial", "parallel", "dnn", "linear"])
 def test_checkpoint_load_draws_no_initialisation(tmp_path, rng, monkeypatch, topo):
     schema = small_schema(f_cat=2, f_num=1, vocab=3)
@@ -380,9 +490,18 @@ def test_every_model_array_is_a_view_of_the_store(topo):
 
 def test_mask_values_requires_mask_units():
     schema = small_schema()
-    dnn = Model(ModelSpec(topology="dnn", block_widths=(3,), embed_dim=2), schema)
-    with pytest.raises(ConfigError):
-        dnn.mask_values(np.zeros((1, 2), dtype=np.int64), np.zeros((1, 1)))
+    cat, num = np.zeros((1, 2), dtype=np.int64), np.zeros((1, 1))
+    for topology, ablation in [("dnn", ()), ("linear", ()), ("serial", ("no_mask",)), ("parallel", ("no_mask",))]:
+        spec = ModelSpec(topology=topology, block_widths=(3,), embed_dim=2, ablation=Ablation.from_names(ablation))
+        model = Model(spec, schema)
+        assert not model.has_mask_units
+        with pytest.raises(ConfigError):
+            model.mask_values(cat, num)
+    # a serial block masks the previous block's output, a parallel one the embedding
+    for topology, widths in [("serial", [6, 3]), ("parallel", [6, 6])]:
+        model = Model(ModelSpec(topology=topology, block_widths=(3, 2), embed_dim=2, ablation=Ablation(no_ln=True)), schema)
+        assert model.has_mask_units
+        assert [m.shape for m in model.mask_values(cat, num)] == [(1, w) for w in widths]
 
 
 def test_bad_spec_rejected():
