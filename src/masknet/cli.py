@@ -13,7 +13,7 @@ import argparse
 import configparser
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .data import (
@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import CheckpointError, ConfigError, MaskNetError, MetricError, check_finite_fields
 from .evaluate import check_baseline_auc, inspect_masks
-from .experiments import run_ablation_grid, run_experiment
+from .experiments import ExperimentResult, run_ablation_grid, run_experiment
 from .gradchecks import run_suite
 from .maskblock import Ablation
 from .model import TOPOLOGIES, ModelSpec, load_checkpoint, param_count, save_checkpoint
@@ -154,21 +154,25 @@ _TRAIN_FLAGS: dict[str, tuple[str, str, dict]] = {
 }
 
 
-def _apply_overrides(raw: dict[str, dict[str, str]], args: argparse.Namespace) -> None:
+def _run_config(args: argparse.Namespace, **model_keys: str) -> RunConfig:
+    """Config of train, ablation and sweep: the file, then the flags, then sweep's [model] key."""
+    raw = parse_config_file(args.config)
     for flag, (section, key, _) in _TRAIN_FLAGS.items():
         val = getattr(args, flag[2:].replace("-", "_"))
         if val is not None:
             raw.setdefault(section, {})[key] = str(val)
+    raw.setdefault("model", {}).update(model_keys)
+    return build_run_config(raw)
 
 
-def load_splits(cfg: RunConfig) -> tuple[tuple[Dataset, Dataset, Dataset], SyntheticSpec | None, Dataset | None]:
-    """Materialize (train, valid, test) from the configured source."""
+def load_splits(cfg: RunConfig) -> tuple[tuple[Dataset, Dataset, Dataset], Dataset | None]:
+    """Materialize (train, valid, test) from the configured source, and the
+    full synthetic dataset (None for csv)."""
     data_seed = cfg.data.seed if cfg.data.seed >= 0 else cfg.seed
     if cfg.data.source == "synthetic":
         spec = SyntheticSpec(**{f.name: getattr(cfg.data, f.name) for f in fields(SyntheticSpec)} | {"seed": data_seed})
         full = gen_synthetic(spec)
-        splits = split_dataset(full, cfg.seed)
-        return splits, spec, full
+        return split_dataset(full, cfg.seed), full
     if not cfg.data.path or not cfg.data.schema:
         raise ConfigError("csv source needs both [data] path and [data] schema")
     data_path, schema_path = Path(cfg.data.path), Path(cfg.data.schema)
@@ -180,13 +184,39 @@ def load_splits(cfg: RunConfig) -> tuple[tuple[Dataset, Dataset, Dataset], Synth
     _, train_ds, valid_ds, test_ds = ingest_csv(data_path.read_text(), cols, cfg.seed, _DELIMITERS[cfg.data.delimiter])
     if cfg.data.standardize:
         train_ds, valid_ds, test_ds = standardize_numerical(train_ds, valid_ds, test_ds)
-    return (train_ds, valid_ds, test_ds), None, None
+    return (train_ds, valid_ds, test_ds), None
 
 
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _train_run(cfg: RunConfig, splits: tuple[Dataset, Dataset, Dataset], out: str, label: str,
+               baseline: tuple[str, float] | None = None) -> tuple[ExperimentResult, list[str]]:
+    """Train one model and write checkpoint.ckpt, history.csv and
+    eval_report.txt into `out`; returns the result and the report's lines."""
+    t0 = time.time()
+    model, result = run_experiment(cfg.model, splits, cfg.train, label=label, baseline=baseline)
+    seconds = time.time() - t0
+
+    run_dir = _out_dir(out)
+    save_checkpoint(model, str(run_dir / "checkpoint.ckpt"))
+    (run_dir / "history.csv").write_text(result.history.to_csv())
+    lines = [
+        f"label={label}",
+        f"topology={cfg.model.topology}",
+        f"blocks={cfg.model.u}",
+        f"params={param_count(model)}",
+        f"seed={cfg.seed}",
+        f"train_seconds={seconds:.1f}",
+        f"best_epoch={result.history.best_epoch}",
+    ]
+    lines += ["valid." + ln for ln in result.valid.lines()]
+    lines += ["test." + ln for ln in result.test.lines()]
+    (run_dir / "eval_report.txt").write_text("\n".join(lines) + "\n")
+    return result, lines
 
 
 # ---------------------------------------------------------------------------
@@ -209,33 +239,13 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    raw = parse_config_file(args.config)
-    _apply_overrides(raw, args)
-    cfg = build_run_config(raw)
+    cfg = _run_config(args)
     baseline = None if args.baseline_auc is None else (args.baseline_name, check_baseline_auc(args.baseline_auc))
-    splits, _, _ = load_splits(cfg)
+    splits, _ = load_splits(cfg)
     label = f"{cfg.model.topology}" + (f"[{','.join(cfg.model.ablation.names())}]" if cfg.model.ablation.names() else "")
-    t0 = time.time()
-    model, result = run_experiment(cfg.model, splits, cfg.train, label=label, baseline=baseline)
-    seconds = time.time() - t0
-
-    out = _out_dir(cfg.out_dir)
-    save_checkpoint(model, str(out / "checkpoint.ckpt"))
-    (out / "history.csv").write_text(result.history.to_csv())
-    lines = [
-        f"label={label}",
-        f"topology={cfg.model.topology}",
-        f"blocks={cfg.model.u}",
-        f"params={param_count(model)}",
-        f"seed={cfg.seed}",
-        f"train_seconds={seconds:.1f}",
-        f"best_epoch={result.history.best_epoch}",
-    ]
-    lines += ["valid." + ln for ln in result.valid.lines()]
-    lines += ["test." + ln for ln in result.test.lines()]
-    (out / "eval_report.txt").write_text("\n".join(lines) + "\n")
+    _, lines = _train_run(cfg, splits, cfg.out_dir, label, baseline)
     print("\n".join(lines))
-    print(f"checkpoint: {out / 'checkpoint.ckpt'}")
+    print(f"checkpoint: {Path(cfg.out_dir) / 'checkpoint.ckpt'}")
     return 0
 
 
@@ -259,9 +269,8 @@ def cmd_inspect_mask(args: argparse.Namespace) -> int:
             f"checkpoint topology {model.spec.topology!r} "
             f"(ablation={model.spec.ablation.names()}) has no mask units to inspect"
         )
-    raw = parse_config_file(args.config)
-    cfg = build_run_config(raw)
-    splits, _, full = load_splits(cfg)
+    cfg = build_run_config(parse_config_file(args.config))
+    splits, full = load_splits(cfg)
     by_name = {"train": splits[0], "valid": splits[1], "test": splits[2], "full": full}
     ds = by_name.get(args.split)
     if ds is None:
@@ -278,13 +287,9 @@ def cmd_inspect_mask(args: argparse.Namespace) -> int:
 
 
 def cmd_ablation(args: argparse.Namespace) -> int:
-    raw = parse_config_file(args.config)
-    _apply_overrides(raw, args)
-    cfg = build_run_config(raw)
-    splits, _, _ = load_splits(cfg)
-    serial = replace(cfg.model, topology="serial")
-    parallel = replace(cfg.model, topology="parallel")
-    results, table = run_ablation_grid(splits, serial, parallel, cfg.train)
+    cfg = _run_config(args)
+    splits, _ = load_splits(cfg)
+    results, table = run_ablation_grid(splits, cfg.model, cfg.train)
     out = _out_dir(cfg.out_dir)
     (out / "ablation_report.txt").write_text(table)
     detail = [
@@ -296,7 +301,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_PARAMS = {"blocks": ("model", "blocks"), "embed-dim": ("model", "embed_dim"), "reduction": ("model", "reduction")}
+_SWEEP_PARAMS = {"blocks": "blocks", "embed-dim": "embed_dim", "reduction": "reduction"}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -305,21 +310,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    section, key = _SWEEP_PARAMS[args.param]
-    summary = []
-    base_raw = parse_config_file(args.config)
-    _apply_overrides(base_raw, args)
-    # every value is checked before the first run trains
-    runs = [(v, build_run_config(base_raw | {section: base_raw.get(section, {}) | {key: v}})) for v in values]
+    # every value is checked before the first run trains; a value changes
+    # only a [model] key, so every run shares the first one's data
+    runs = [(v, _run_config(args, **{_SWEEP_PARAMS[args.param]: v})) for v in values]
+    if len({cfg.model for _, cfg in runs}) < len(runs):
+        raise ConfigError(f"sweep values repeat a value of {args.param}: {','.join(values)}")
     base_out = runs[0][1].out_dir
+    splits, _ = load_splits(runs[0][1])
+    summary = []
     for v, cfg in runs:
-        splits, _, _ = load_splits(cfg)
-        out = _out_dir(str(Path(base_out) / f"sweep_{args.param}_{v}"))
-        model, result = run_experiment(cfg.model, splits, cfg.train, label=f"{args.param}={v}")
-        save_checkpoint(model, str(out / "checkpoint.ckpt"))
-        (out / "history.csv").write_text(result.history.to_csv())
-        report = [f"label={result.label}"] + ["test." + ln for ln in result.test.lines()]
-        (out / "eval_report.txt").write_text("\n".join(report) + "\n")
+        result, _ = _train_run(cfg, splits, str(Path(base_out) / f"sweep_{args.param}_{v}"), f"{args.param}={v}")
         summary.append(f"{args.param}={v}: test_auc={result.test.auc:.6f}")
         print(summary[-1])
     (_out_dir(base_out) / f"sweep_{args.param}_summary.txt").write_text("\n".join(summary) + "\n")

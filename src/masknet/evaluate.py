@@ -142,6 +142,8 @@ def inspect_masks(model, ds, sample_size: int, n_examples: int = 2, seed: int = 
     """
     if sample_size < 1:
         raise MetricError("inspect_masks needs sample_size >= 1")
+    if n_examples < 0:
+        raise MetricError(f"inspect_masks needs n_examples >= 0, got {n_examples}")
     rng = make_rng(seed, STREAM_INSPECT)
     size = min(sample_size, ds.n)
     idx = rng.choice(ds.n, size=size, replace=False)

@@ -42,16 +42,9 @@ def run_experiment(
     return model, result
 
 
-def ablation_spec(base: ModelSpec, variant: str) -> ModelSpec:
-    if variant == "full":
-        return replace(base, ablation=Ablation())
-    return replace(base, ablation=Ablation.from_names([variant]))
-
-
 def run_ablation_grid(
     splits: tuple[Dataset, Dataset, Dataset],
-    serial_base: ModelSpec,
-    parallel_base: ModelSpec,
+    base: ModelSpec,
     cfg: TrainConfig,
 ) -> tuple[dict[tuple[str, str], ExperimentResult], str]:
     """Train full + one-component-removed variants of both MaskNet topologies.
@@ -60,11 +53,10 @@ def run_ablation_grid(
     variants as rows and topologies as columns.
     """
     results: dict[tuple[str, str], ExperimentResult] = {}
-    for base in (serial_base, parallel_base):
+    for topology in ("serial", "parallel"):
         for variant in ABLATION_VARIANTS:
-            spec = ablation_spec(base, variant)
-            _, res = run_experiment(spec, splits, cfg, label=f"{base.topology}/{variant}")
-            results[(base.topology, variant)] = res
+            spec = replace(base, topology=topology, ablation=Ablation.from_names([] if variant == "full" else [variant]))
+            _, results[(topology, variant)] = run_experiment(spec, splits, cfg, label=f"{topology}/{variant}")
     return results, ablation_table(results)
 
 
@@ -73,9 +65,5 @@ def ablation_table(results: dict[tuple[str, str], ExperimentResult]) -> str:
     lines = [f"{'variant':<12}" + "".join(f"{t:>12}" for t in topos)]
     for variant in ABLATION_VARIANTS:
         row = "full" if variant == "full" else f"-w/o {variant[3:]}"
-        cells = "".join(
-            f"{results[(t, variant)].test.auc:>12.4f}" if (t, variant) in results else f"{'-':>12}"
-            for t in topos
-        )
-        lines.append(f"{row:<12}" + cells)
+        lines.append(f"{row:<12}" + "".join(f"{results[(t, variant)].test.auc:>12.4f}" for t in topos))
     return "\n".join(lines) + "\n"

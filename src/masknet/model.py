@@ -280,6 +280,8 @@ class Model:
         Scores tiles of min(batch_size, SCORE_TILE) rows; the last call takes
         the rest once it fits in min(batch_size, 2*SCORE_TILE - 1) rows.
         """
+        if batch_size < 1:
+            raise ConfigError(f"predict needs batch_size >= 1, got {batch_size}")
         tile = min(batch_size, SCORE_TILE)
         rest = min(batch_size, 2 * SCORE_TILE - 1)
         out = np.empty(ds.n)

@@ -13,8 +13,8 @@ from masknet.cli import (
     _TRAIN_FLAGS,
     DataConfig,
     RunConfig,
-    _apply_overrides,
     _parse_value,
+    _run_config,
     build_parser,
     build_run_config,
     main,
@@ -139,11 +139,12 @@ def test_every_train_flag_has_a_case():
 
 @pytest.mark.parametrize("command", ["train", "ablation", "sweep"])
 @pytest.mark.parametrize("flag, value, read, expected", FLAG_CASES, ids=[case[0] for case in FLAG_CASES])
-def test_flag_overrides_its_key(command, flag, value, read, expected):
+def test_flag_overrides_its_key(tmp_path, command, flag, value, read, expected):
     sweep_args = ["--param", "blocks", "--values", "1"] if command == "sweep" else []
-    raw: dict[str, dict[str, str]] = {}
-    _apply_overrides(raw, build_parser().parse_args([command, "--config", "run.ini", flag, value] + sweep_args))
-    assert read(build_run_config(raw)) == expected
+    empty = tmp_path / "run.ini"
+    empty.write_text("")
+    args = build_parser().parse_args([command, "--config", str(empty), flag, value] + sweep_args)
+    assert read(_run_config(args)) == expected
     assert read(build_run_config({})) != expected  # the flag, not the default, set it
 
 
@@ -208,6 +209,9 @@ def test_inspect_mask_command(tmp_path):
     cfg = write_config(tmp_path, out_name="run4", text=text)
     assert main(["train", "--config", str(cfg)]) == 0
     out = tmp_path / "run4"
+    bad = ["inspect-mask", "--checkpoint", str(out / "checkpoint.ckpt"), "--config", str(cfg), "--examples", "-1"]
+    assert main(bad + ["--out", str(tmp_path / "insp_bad")]) == 3  # was a silent [:-1] slice
+    assert not (tmp_path / "insp_bad").exists()
     code = main(
         ["inspect-mask", "--checkpoint", str(out / "checkpoint.ckpt"), "--config", str(cfg),
          "--sample", "100", "--examples", "2", "--out", str(tmp_path / "insp")]
@@ -442,21 +446,33 @@ def test_readme_config_block_lists_the_table():
             assert parsed == default and type(parsed) is type(default), (s, key)
 
 
-def test_sweep_command(tmp_path):
+def test_sweep_command(tmp_path, monkeypatch):
+    from masknet.data import gen_synthetic
+
+    loads = []
+    monkeypatch.setattr("masknet.cli.gen_synthetic", lambda spec: loads.append(spec) or gen_synthetic(spec))
     cfg = write_config(tmp_path, out_name="sweep_out")
     code = main(["sweep", "--config", str(cfg), "--param", "blocks", "--values", "1,2",
                  "--epochs", "1"])
     assert code == 0
+    assert len(loads) == 1  # every value trains on the same data
     base = tmp_path / "sweep_out"
-    assert (base / "sweep_blocks_1" / "eval_report.txt").is_file()
-    assert (base / "sweep_blocks_2" / "eval_report.txt").is_file()
     assert (base / "sweep_blocks_summary.txt").is_file()
+    # each value writes train's three files, and its report has train's keys
+    assert main(["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "train")]) == 0
+    keys = lambda path: [line.split("=", 1)[0] for line in path.read_text().splitlines()]
+    for v in ("1", "2"):
+        assert (base / f"sweep_blocks_{v}" / "checkpoint.ckpt").is_file()
+        assert (base / f"sweep_blocks_{v}" / "history.csv").is_file()
+        assert keys(base / f"sweep_blocks_{v}" / "eval_report.txt") == keys(tmp_path / "train" / "eval_report.txt")
+    assert (base / "sweep_blocks_2" / "eval_report.txt").read_text().startswith("label=blocks=2\ntopology=dnn\nblocks=2\n")
 
 
 def test_sweep_checks_every_value_before_training(tmp_path):
     cfg = write_config(tmp_path, out_name="sweep_bad")
-    assert main(["sweep", "--config", str(cfg), "--param", "blocks", "--values", "1,0"]) == 2
-    assert not (tmp_path / "sweep_bad").exists()
+    for values in ("1,0", "1,1", "2, 1,2", "1,01"):  # a bad value; a repeated one
+        assert main(["sweep", "--config", str(cfg), "--param", "blocks", "--values", values]) == 2, values
+        assert not (tmp_path / "sweep_bad").exists()
 
 
 def test_ablation_command(tmp_path):

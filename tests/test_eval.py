@@ -124,6 +124,12 @@ def test_inspect_masks_rejects_empty_sample():
         inspect_masks(model, ds, sample_size=0)
 
 
+def test_inspect_masks_rejects_negative_examples():
+    model, ds = trained_like_model(seed=6)
+    with pytest.raises(MetricError, match="n_examples"):
+        inspect_masks(model, ds, sample_size=40, n_examples=-1)  # was a silent [:-1] slice
+
+
 def test_examples_text_format():
     model, ds = trained_like_model(seed=7)
     insp = inspect_masks(model, ds, sample_size=50, n_examples=2, seed=2)

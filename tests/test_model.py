@@ -232,6 +232,13 @@ def test_predict_forward_calls(monkeypatch, n, batch_size, calls):
     assert seen == calls
 
 
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_predict_rejects_batch_size_below_one(batch_size):
+    ds = scoring_set(10)
+    with pytest.raises(ConfigError, match="batch_size"):  # a tile of 0 rows never advanced
+        scoring_model("dnn", ds.schema).predict(ds, batch_size=batch_size)
+
+
 def test_checkpoint_round_trip(tmp_path, rng):
     schema = small_schema(f_cat=2, f_num=1, vocab=3)
     spec = ModelSpec(topology="parallel", block_widths=(3, 2), top_widths=(4,), embed_dim=2, seed=10)
