@@ -29,7 +29,7 @@ from .data import (
     split_dataset,
     standardize_numerical,
 )
-from .errors import CheckpointError, ConfigError, MaskNetError, MetricError, check_finite_fields
+from .errors import CheckpointError, ConfigError, IngestError, MaskNetError, MetricError, SchemaError, check_finite_fields
 from .evaluate import check_baseline_auc, inspect_masks
 from .experiments import ExperimentResult, run_ablation_grid, run_experiment
 from .gradchecks import run_suite
@@ -101,13 +101,22 @@ def _parse_value(text: str, default: object) -> object:
     return type(default)(text)
 
 
+def _read_text(path: Path, error: type[MaskNetError]) -> str:
+    """The text of an input file; bytes that do not decode raise `error`, the
+    class of the file's other faults, naming the file."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def parse_config_file(path: str) -> dict[str, dict[str, str]]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read_string(p.read_text())
+        cp.read_string(_read_text(p, ConfigError))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raw: dict[str, dict[str, str]] = {}
@@ -180,16 +189,29 @@ def load_splits(cfg: RunConfig) -> tuple[tuple[Dataset, Dataset, Dataset], Datas
         raise ConfigError(f"data file not found: {data_path}")
     if not schema_path.is_file():
         raise ConfigError(f"schema file not found: {schema_path}")
-    cols = parse_column_spec(schema_path.read_text())
-    _, train_ds, valid_ds, test_ds = ingest_csv(data_path.read_text(), cols, cfg.seed, _DELIMITERS[cfg.data.delimiter])
+    cols = parse_column_spec(_read_text(schema_path, SchemaError))
+    text = _read_text(data_path, IngestError)
+    _, train_ds, valid_ds, test_ds = ingest_csv(text, cols, cfg.seed, _DELIMITERS[cfg.data.delimiter])
     if cfg.data.standardize:
         train_ds, valid_ds, test_ds = standardize_numerical(train_ds, valid_ds, test_ds)
     return (train_ds, valid_ds, test_ds), None
 
 
-def _out_dir(path: str) -> Path:
+def _check_out_dir(path: str | Path) -> None:
+    """Fail before any work if `path` cannot become a directory: its nearest
+    existing ancestor must be one.  Creates nothing."""
+    p = Path(path).absolute()
+    nearest = next(q for q in (p, *p.parents) if q.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output directory {path}: {nearest} is not a directory")
+
+
+def _out_dir(path: str | Path) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from None
     return out
 
 
@@ -226,6 +248,7 @@ def _train_run(cfg: RunConfig, splits: tuple[Dataset, Dataset, Dataset], out: st
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
+    _check_out_dir(args.out)
     full = gen_synthetic(spec)
     splits = split_dataset(full, args.seed)
     out = _out_dir(args.out)
@@ -241,6 +264,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     baseline = None if args.baseline_auc is None else (args.baseline_name, check_baseline_auc(args.baseline_auc))
+    _check_out_dir(cfg.out_dir)
     splits, _ = load_splits(cfg)
     label = f"{cfg.model.topology}" + (f"[{','.join(cfg.model.ablation.names())}]" if cfg.model.ablation.names() else "")
     _, lines = _train_run(cfg, splits, cfg.out_dir, label, baseline)
@@ -263,6 +287,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect_mask(args: argparse.Namespace) -> int:
+    if not Path(args.checkpoint).is_file():
+        raise ConfigError(f"checkpoint file not found: {args.checkpoint}")
+    _check_out_dir(args.out)
     model = load_checkpoint(args.checkpoint)
     if not model.has_mask_units:
         raise CheckpointError(
@@ -288,6 +315,7 @@ def cmd_inspect_mask(args: argparse.Namespace) -> int:
 
 def cmd_ablation(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
+    _check_out_dir(cfg.out_dir)
     splits, _ = load_splits(cfg)
     results, table = run_ablation_grid(splits, cfg.model, cfg.train)
     out = _out_dir(cfg.out_dir)
@@ -315,11 +343,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     runs = [(v, _run_config(args, **{_SWEEP_PARAMS[args.param]: v})) for v in values]
     if len({cfg.model for _, cfg in runs}) < len(runs):
         raise ConfigError(f"sweep values repeat a value of {args.param}: {','.join(values)}")
-    base_out = runs[0][1].out_dir
+    base_out = Path(runs[0][1].out_dir)
+    for v, _ in runs:
+        _check_out_dir(base_out / f"sweep_{args.param}_{v}")
     splits, _ = load_splits(runs[0][1])
     summary = []
     for v, cfg in runs:
-        result, _ = _train_run(cfg, splits, str(Path(base_out) / f"sweep_{args.param}_{v}"), f"{args.param}={v}")
+        result, _ = _train_run(cfg, splits, str(base_out / f"sweep_{args.param}_{v}"), f"{args.param}={v}")
         summary.append(f"{args.param}={v}: test_auc={result.test.auc:.6f}")
         print(summary[-1])
     (_out_dir(base_out) / f"sweep_{args.param}_summary.txt").write_text("\n".join(summary) + "\n")

@@ -156,6 +156,8 @@ def parse_column_spec(text: str) -> list[ColumnSpec]:
         name, kind = parts
         if kind not in (CATEGORICAL, NUMERICAL, LABEL, LOGIT):
             raise SchemaError(f"schema spec line {lineno}: unknown kind {kind!r}")
+        if any(c.name == name for c in cols):
+            raise SchemaError(f"schema spec line {lineno}: column {name!r} is declared twice")
         cols.append(ColumnSpec(name, kind))
     if sum(c.kind == LABEL for c in cols) != 1:
         raise SchemaError("schema spec must declare exactly one label column")
@@ -213,6 +215,9 @@ def read_delimited(text: str, columns: list[ColumnSpec], delimiter: str = ",") -
         if header is None:
             raise IngestError("empty input: missing header row")
         header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            twice = next(h for i, h in enumerate(header) if h in header[:i])
+            raise SchemaError(f"header names column {twice!r} twice")
         by_name = {c.name: c for c in columns}
         if sorted(header) != sorted(by_name):
             missing = set(by_name) - set(header)
@@ -415,13 +420,10 @@ def marginal_ctr_scores(train: Dataset, eval_ds: Dataset) -> np.ndarray:
 
 
 def build_manifest(
-    full: Dataset,
-    spec: SyntheticSpec | None = None,
-    splits: tuple[Dataset, Dataset, Dataset] | None = None,
-    split_seed: int | None = None,
+    full: Dataset, spec: SyntheticSpec, splits: tuple[Dataset, Dataset, Dataset], split_seed: int
 ) -> dict[str, str]:
-    """Flat key=value summary: sizes, field stats, positive rate, and (for
-    synthetic data) generator parameters plus Bayes / marginal-predictor AUCs."""
+    """Flat key=value summary of generated data: sizes, field stats, positive
+    rate, generator parameters, split sizes, and Bayes / marginal-predictor AUCs."""
     from .evaluate import auc  # local import: evaluate has no data dependency
 
     man: dict[str, str] = {
@@ -434,24 +436,20 @@ def build_manifest(
             man[f"field.{fld.name}"] = f"categorical,vocab={fld.vocab_size}"
         else:
             man[f"field.{fld.name}"] = "numerical"
-    if spec is not None:
-        man["generator"] = "multiplicative-latent"
-        man["generator.fields"] = str(spec.fields)
-        man["generator.vocab"] = str(spec.vocab)
-        man["generator.latent_dim"] = str(spec.latent_dim)
-        man["generator.logit_scale"] = f"{spec.logit_scale:g}"
-        man["generator.seed"] = str(spec.seed)
-    if full.logits is not None:
-        man["bayes_auc_full"] = f"{auc(full.logits, full.labels):.6f}"
-    if splits is not None:
-        train, valid, test = splits
-        man["split_seed"] = str(split_seed)
-        man["n_train"] = str(train.n)
-        man["n_valid"] = str(valid.n)
-        man["n_test"] = str(test.n)
-        if test.logits is not None:
-            man["bayes_auc_test"] = f"{auc(test.logits, test.labels):.6f}"
-        man["marginal_auc_test"] = f"{auc(marginal_ctr_scores(train, test), test.labels):.6f}"
+    train, valid, test = splits
+    man["generator"] = "multiplicative-latent"
+    man["generator.fields"] = str(spec.fields)
+    man["generator.vocab"] = str(spec.vocab)
+    man["generator.latent_dim"] = str(spec.latent_dim)
+    man["generator.logit_scale"] = f"{spec.logit_scale:g}"
+    man["generator.seed"] = str(spec.seed)
+    man["bayes_auc_full"] = f"{auc(full.logits, full.labels):.6f}"
+    man["split_seed"] = str(split_seed)
+    man["n_train"] = str(train.n)
+    man["n_valid"] = str(valid.n)
+    man["n_test"] = str(test.n)
+    man["bayes_auc_test"] = f"{auc(test.logits, test.labels):.6f}"
+    man["marginal_auc_test"] = f"{auc(marginal_ctr_scores(train, test), test.labels):.6f}"
     return man
 
 

@@ -8,7 +8,7 @@ embedding has width m = f*k.
 
 The tables sit back to back in the parameter store, so together they form
 one (R, k) matrix with each field's rows in schema order
-(`FeatureSchema.table_rows`); the forward pass is one gather from it.
+(`FeatureSchema.table_rows`): forward gathers from it, backward scatters.
 """
 
 from __future__ import annotations
@@ -68,16 +68,10 @@ def embed_bwd(
     cat: np.ndarray,
     num: np.ndarray,
 ) -> None:
-    """Accumulate gradients only into touched rows (scatter-add per field)."""
-    k = grad_table.shape[1]
-    row = ci = ni = 0
-    for pos, fld in enumerate(schema.fields):
-        dslice = dv[:, pos * k : (pos + 1) * k]
-        if fld.kind == CATEGORICAL:
-            np.add.at(grad_table[row : row + fld.vocab_size + 1], cat[:, ci], dslice)
-            row += fld.vocab_size + 1
-            ci += 1
-        else:
-            grad_table[row] += (num[:, ni, None] * dslice).sum(axis=0)
-            row += 1
-            ni += 1
+    """Add into touched rows only: one scatter over the categorical cells, indexed
+    like the forward gather, and one value-weighted sum per numerical row."""
+    rows = schema.table_rows
+    dv = dv.reshape(dv.shape[0], schema.f, grad_table.shape[1])
+    np.add.at(grad_table, cat + rows.cat_first, dv[:, rows.cat_pos])
+    for j, (pos, row) in enumerate(zip(rows.num_pos, rows.num_row)):
+        grad_table[row] += (num[:, j, None] * dv[:, pos]).sum(axis=0)

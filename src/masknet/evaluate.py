@@ -1,4 +1,4 @@
-"""Ranking metrics (AUC, relative improvement) and mask inspection."""
+"""Ranking metrics (AUC, log loss, relative improvement) and mask inspection."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from .errors import MetricError
 from .numeric import make_rng
 
 STREAM_INSPECT = 4
+LOGLOSS_EPS = 1e-12
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -34,6 +35,12 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     ranks[order] = np.repeat(avg, counts)
     pos_rank_sum = ranks[labels == 1.0].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def logloss(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary log loss; probabilities clamped to [1e-12, 1-1e-12] first."""
+    p = np.clip(probs, LOGLOSS_EPS, 1.0 - LOGLOSS_EPS)
+    return float(-(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)).mean())
 
 
 def check_baseline_auc(base: float) -> float:
@@ -76,8 +83,6 @@ class EvalReport:
 
 
 def evaluate_model(model, ds, baseline: tuple[str, float] | None = None) -> EvalReport:
-    from .train import logloss  # local import avoids a module cycle
-
     probs = model.predict(ds)
     n_pos = int(ds.labels.sum())
     report = EvalReport(

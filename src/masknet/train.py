@@ -1,4 +1,4 @@
-"""Log loss, the L2-regularized objective, Adam, and the training loop.
+"""The L2-regularized objective, Adam, and the training loop.
 
 The loop is single-threaded and owns the model exclusively; validation runs
 on read-only snapshots.  Everything is deterministic given the config seed:
@@ -13,11 +13,9 @@ import numpy as np
 
 from .data import Dataset, STREAM_SHUFFLE
 from .errors import ConfigError, TrainingError, check_finite_fields
-from .evaluate import auc
+from .evaluate import auc, logloss
 from .model import Model, relu_pattern
 from .numeric import ParamStore, make_rng
-
-LOGLOSS_EPS = 1e-12
 
 # Elements per pass of the Adam update: its scratch stays in cache, and no
 # temporary grows with the model.
@@ -50,12 +48,6 @@ class TrainConfig:
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-
-def logloss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary log loss; probabilities clamped to [1e-12, 1-1e-12] first."""
-    p = np.clip(probs, LOGLOSS_EPS, 1.0 - LOGLOSS_EPS)
-    return float(-(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)).mean())
 
 
 def l2_penalty(store: ParamStore, lam: float) -> float:

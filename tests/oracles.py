@@ -76,6 +76,24 @@ def o_embed(schema, params, cat_row, num_row, k):
     return np.array(parts)
 
 
+def o_embed_bwd(dv, grad_table, schema, cat, num):
+    """The embedding backward as a walk over the fields, counting its own
+    rows (vocab + 1 per categorical field, one per numerical): a scatter-add
+    per categorical field, a value-weighted batch sum per numerical one."""
+    k = grad_table.shape[1]
+    row = ci = ni = 0
+    for pos, fld in enumerate(schema.fields):
+        dslice = dv[:, pos * k : (pos + 1) * k]
+        if fld.kind == "categorical":
+            np.add.at(grad_table[row : row + fld.vocab_size + 1], cat[:, ci], dslice)
+            row += fld.vocab_size + 1
+            ci += 1
+        else:
+            grad_table[row] += (num[:, ni, None] * dslice).sum(axis=0)
+            row += 1
+            ni += 1
+
+
 def _block_arrays(params, i):
     pre = f"block{i}."
     return (

@@ -17,6 +17,7 @@ from masknet.cli import (
     _run_config,
     build_parser,
     build_run_config,
+    _out_dir,
     main,
     parse_config_file,
 )
@@ -288,6 +289,94 @@ def test_train_names_the_line_of_an_oversized_csv_cell(tmp_path, capsys):
     )
     assert main(["train", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == "error: line 4: field larger than field limit (131072)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def one_error_line(capsys) -> str:
+    """The run's stderr, required to be one `error:` line and no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+def test_inspect_mask_missing_checkpoint_exits_two_before_the_config(tmp_path, capsys):
+    missing = tmp_path / "nope.ckpt"
+    argv = ["inspect-mask", "--checkpoint", str(missing), "--out", str(tmp_path / "i")]
+    for cfg in (write_config(tmp_path), tmp_path / "nope.ini"):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == f"error: checkpoint file not found: {missing}\n"
+    assert not (tmp_path / "i").exists()
+
+
+# (command, the arguments after the config or output flag) for every command
+# that writes into an output directory
+OUT_COMMANDS = [
+    ("train", []),
+    ("ablation", []),
+    ("sweep", ["--param", "blocks", "--values", "1,2"]),
+    ("gen-synth", []),
+    ("inspect-mask", []),
+]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command, extra", OUT_COMMANDS, ids=[c[0] for c in OUT_COMMANDS])
+def test_output_path_that_is_a_file_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command, extra, nested):
+    def no_work(*args, **kwargs):
+        raise AssertionError("loaded data for an unusable output path")
+
+    for name in ("load_splits", "gen_synthetic", "load_checkpoint", "run_experiment"):
+        monkeypatch.setattr(f"masknet.cli.{name}", no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "run" if nested else taken
+    cfg = write_config(tmp_path)
+    if command == "gen-synth":
+        argv = ["gen-synth", "--out", str(out)]
+    elif command == "inspect-mask":
+        (tmp_path / "model.ckpt").write_bytes(b"")
+        argv = ["inspect-mask", "--checkpoint", str(tmp_path / "model.ckpt"), "--config", str(cfg), "--out", str(out)]
+    else:
+        argv = [command, "--config", str(cfg), "--out", str(out), *extra]
+    assert main(argv) == 2
+    assert one_error_line(capsys).startswith(f"error: output directory {out}")
+    assert taken.read_text() == "keep"
+    assert {p.name for p in tmp_path.iterdir()} <= {"run.ini", "taken", "model.ckpt"}
+
+
+def test_sweep_value_directory_that_is_a_file_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("masknet.cli.load_splits", lambda cfg: pytest.fail("loaded data"))
+    cfg = write_config(tmp_path, out_name="sw")
+    (tmp_path / "sw").mkdir()
+    (tmp_path / "sw" / "sweep_blocks_2").write_text("")
+    assert main(["sweep", "--config", str(cfg), "--param", "blocks", "--values", "1,2"]) == 2
+    assert one_error_line(capsys) == f"error: output directory {tmp_path / 'sw' / 'sweep_blocks_2'}: " \
+        f"{tmp_path / 'sw' / 'sweep_blocks_2'} is not a directory\n"
+
+
+def test_out_dir_turns_a_failed_mkdir_into_a_config_error(tmp_path):
+    (tmp_path / "taken").write_text("")
+    with pytest.raises(ConfigError, match="output directory"):
+        _out_dir(tmp_path / "taken" / "run")
+
+
+@pytest.mark.parametrize("broken, code", [("config", 2), ("schema", 1), ("data", 1)])
+def test_undecodable_input_file_is_named(tmp_path, capsys, broken, code):
+    """A \\xff byte in the config, the schema spec or the data CSV fails as
+    that file's other faults do (ConfigError, SchemaError, IngestError)."""
+    (tmp_path / "data.csv").write_text("c1,label\n" + "".join(f"v{i % 3},{i % 2}\n" for i in range(20)))
+    (tmp_path / "schema.txt").write_text("c1,categorical\nlabel,label\n")
+    cfg = tmp_path / "csv.ini"
+    cfg.write_text(
+        f"[data]\nsource = csv\npath = {tmp_path / 'data.csv'}\nschema = {tmp_path / 'schema.txt'}\n"
+        f"[run]\nout_dir = {tmp_path / 'out'}\n"
+    )
+    path, bad_line = {"config": (cfg, b"# \xff"), "schema": (tmp_path / "schema.txt", b"# \xff"),
+                      "data": (tmp_path / "data.csv", b"v\xff,1")}[broken]
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n" + bad_line + b"\n", 1))  # after the first line
+    assert main(["train", "--config", str(cfg)]) == code
+    err = one_error_line(capsys)
+    assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
     assert not (tmp_path / "out").exists()
 
 

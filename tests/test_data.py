@@ -80,6 +80,22 @@ def test_header_mismatch_rejected():
         read_delimited("color,size,wrong\na,1.0,0\n", COLS)
 
 
+def test_repeated_header_column_is_named():
+    cols = [ColumnSpec("a", "categorical"), ColumnSpec("label", "label")]
+    with pytest.raises(SchemaError, match=r"^header names column 'a' twice$"):
+        read_delimited("a,a,label\nx,y,0\n", cols)
+    with pytest.raises(SchemaError, match=r"^header names column 'label' twice$"):
+        read_delimited("label, a ,label\n0,x,1\n", cols)
+
+
+def test_repeated_spec_name_is_rejected_with_its_line():
+    # the CSV reader keys columns by name, so the second entry would win silently
+    with pytest.raises(SchemaError, match=r"^schema spec line 3: column 'a' is declared twice$"):
+        parse_column_spec("a,categorical\n# comment\na,numerical\nlabel,label\n")
+    with pytest.raises(SchemaError, match=r"^schema spec line 2: column 'label' is declared twice$"):
+        parse_column_spec("label,label\nlabel,categorical\n")
+
+
 def test_column_spec_parsing():
     cols = parse_column_spec("# comment\ncolor,categorical\nsize,numerical\nlabel,label\n")
     assert [c.kind for c in cols] == ["categorical", "numerical", "label"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_batch, small_schema
 from masknet.data import CATEGORICAL, NUMERICAL, Field, FeatureSchema
@@ -7,7 +8,7 @@ from masknet.embedding import embed_bwd, embed_fwd, embedding_tables, init_embed
 from masknet.errors import SchemaError
 from masknet.model import TOPOLOGIES, Model, ModelSpec
 from masknet.numeric import ParamStore, make_rng
-from oracles import o_embed
+from oracles import o_embed, o_embed_bwd
 
 
 def build(schema, k, seed=0):
@@ -111,3 +112,40 @@ def test_out_of_range_index_names_its_field():
         embed_fwd(table, schema, np.array([[2, 0], [0, 2]], dtype=np.int64), num)
     with pytest.raises(SchemaError, match="'a'"):
         embed_fwd(table, schema, np.array([[-1, 0], [0, 0]], dtype=np.int64), num)
+
+
+@st.composite
+def _embed_bwd_case(draw):
+    """1-8 fields of either kind in any order, k 1-11, a batch of 1-299 rows
+    with repeated and OOV indices, and a zero or random starting gradient."""
+    kinds = draw(st.lists(st.sampled_from([CATEGORICAL, NUMERICAL]), min_size=1, max_size=8))
+    sizes = [draw(st.integers(1, 59)) if kind == CATEGORICAL else 0 for kind in kinds]
+    schema = FeatureSchema(tuple(
+        Field(f"f{i}", kind, tuple(f"v{j}" for j in range(n))) for i, (kind, n) in enumerate(zip(kinds, sizes))
+    ))
+    k, b = draw(st.integers(1, 11)), draw(st.integers(1, 299))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)), 0)
+    oov = np.array([f.vocab_size for f in schema.categorical], dtype=np.int64)
+    cat = rng.integers(0, oov + 1, size=(b, oov.size))
+    if draw(st.booleans()):  # few distinct rows, so every touched row repeats
+        cat = cat[rng.integers(0, min(b, 3), size=b)]
+    cat = np.where(rng.random(cat.shape) < 0.2, oov, cat)
+    num = rng.normal(size=(b, len(schema.numerical))) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    if k == 1 and draw(st.booleans()):  # the linear baseline's broadcast gradient
+        dv = np.broadcast_to(rng.normal(size=(b, 1)), (b, schema.f))
+    else:
+        dv = rng.normal(size=(b, schema.f * k))
+    rows = sum(n + 1 if kind == CATEGORICAL else 1 for kind, n in zip(kinds, sizes))
+    start = rng.normal(size=(rows, k)) if draw(st.booleans()) else np.zeros((rows, k))
+    return schema, cat, num, dv, start
+
+
+@given(case=_embed_bwd_case())
+def test_embed_bwd_matches_per_field_walk_bit_for_bit(case):
+    """One scatter over the stacked table adds each row's terms in the order
+    the per-field walk does, from any starting gradient."""
+    schema, cat, num, dv, start = case
+    got, want = start.copy(), start.copy()
+    embed_bwd(dv, got, schema, cat, num)
+    o_embed_bwd(dv, want, schema, cat, num)
+    assert np.array_equal(got, want)
