@@ -185,10 +185,9 @@ def load_splits(cfg: RunConfig) -> tuple[tuple[Dataset, Dataset, Dataset], Datas
     if not cfg.data.path or not cfg.data.schema:
         raise ConfigError("csv source needs both [data] path and [data] schema")
     data_path, schema_path = Path(cfg.data.path), Path(cfg.data.schema)
-    if not data_path.is_file():
-        raise ConfigError(f"data file not found: {data_path}")
-    if not schema_path.is_file():
-        raise ConfigError(f"schema file not found: {schema_path}")
+    for what, path in (("data", data_path), ("schema", schema_path)):
+        if not path.is_file():
+            raise ConfigError(f"{what} file not found: {path}")
     cols = parse_column_spec(_read_text(schema_path, SchemaError))
     text = _read_text(data_path, IngestError)
     _, train_ds, valid_ds, test_ds = ingest_csv(text, cols, cfg.seed, _DELIMITERS[cfg.data.delimiter])
@@ -197,13 +196,17 @@ def load_splits(cfg: RunConfig) -> tuple[tuple[Dataset, Dataset, Dataset], Datas
     return (train_ds, valid_ds, test_ds), None
 
 
-def _check_out_dir(path: str | Path) -> None:
-    """Fail before any work if `path` cannot become a directory: its nearest
-    existing ancestor must be one.  Creates nothing."""
+def _check_out_dir(path: str | Path, files: tuple[str, ...] = ()) -> None:
+    """Fail before any work if `path` cannot become a directory (its nearest
+    existing ancestor must be one) or if a file to be written into it exists
+    as anything but a file.  Creates nothing."""
     p = Path(path).absolute()
     nearest = next(q for q in (p, *p.parents) if q.exists())
     if not nearest.is_dir():
         raise ConfigError(f"output directory {path}: {nearest} is not a directory")
+    for name in files:
+        if (p / name).exists() and not (p / name).is_file():
+            raise ConfigError(f"output file {Path(path) / name}: exists and is not a file")
 
 
 def _out_dir(path: str | Path) -> Path:
@@ -215,17 +218,21 @@ def _out_dir(path: str | Path) -> Path:
     return out
 
 
+_RUN_FILES = ("checkpoint.ckpt", "history.csv", "eval_report.txt")
+
+
 def _train_run(cfg: RunConfig, splits: tuple[Dataset, Dataset, Dataset], out: str, label: str,
                baseline: tuple[str, float] | None = None) -> tuple[ExperimentResult, list[str]]:
-    """Train one model and write checkpoint.ckpt, history.csv and
-    eval_report.txt into `out`; returns the result and the report's lines."""
+    """Train one model and write _RUN_FILES into `out`; returns the result
+    and the report's lines."""
     t0 = time.time()
     model, result = run_experiment(cfg.model, splits, cfg.train, label=label, baseline=baseline)
     seconds = time.time() - t0
 
     run_dir = _out_dir(out)
-    save_checkpoint(model, str(run_dir / "checkpoint.ckpt"))
-    (run_dir / "history.csv").write_text(result.history.to_csv())
+    ckpt, history, report = (run_dir / name for name in _RUN_FILES)
+    save_checkpoint(model, str(ckpt))
+    history.write_text(result.history.to_csv())
     lines = [
         f"label={label}",
         f"topology={cfg.model.topology}",
@@ -237,7 +244,7 @@ def _train_run(cfg: RunConfig, splits: tuple[Dataset, Dataset, Dataset], out: st
     ]
     lines += ["valid." + ln for ln in result.valid.lines()]
     lines += ["test." + ln for ln in result.test.lines()]
-    (run_dir / "eval_report.txt").write_text("\n".join(lines) + "\n")
+    report.write_text("\n".join(lines) + "\n")
     return result, lines
 
 
@@ -248,7 +255,7 @@ def _train_run(cfg: RunConfig, splits: tuple[Dataset, Dataset, Dataset], out: st
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, ("data.csv", "schema.txt", "manifest.txt"))
     full = gen_synthetic(spec)
     splits = split_dataset(full, args.seed)
     out = _out_dir(args.out)
@@ -264,7 +271,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     baseline = None if args.baseline_auc is None else (args.baseline_name, check_baseline_auc(args.baseline_auc))
-    _check_out_dir(cfg.out_dir)
+    _check_out_dir(cfg.out_dir, _RUN_FILES)
     splits, _ = load_splits(cfg)
     label = f"{cfg.model.topology}" + (f"[{','.join(cfg.model.ablation.names())}]" if cfg.model.ablation.names() else "")
     _, lines = _train_run(cfg, splits, cfg.out_dir, label, baseline)
@@ -296,6 +303,8 @@ def cmd_inspect_mask(args: argparse.Namespace) -> int:
             f"checkpoint topology {model.spec.topology!r} "
             f"(ablation={model.spec.ablation.names()}) has no mask units to inspect"
         )
+    hist_files = tuple(f"mask_hist_block{b}.txt" for b in range(1, model.spec.u + 1))
+    _check_out_dir(args.out, (*hist_files, "mask_examples.txt"))
     cfg = build_run_config(parse_config_file(args.config))
     splits, full = load_splits(cfg)
     by_name = {"train": splits[0], "valid": splits[1], "test": splits[2], "full": full}
@@ -306,8 +315,8 @@ def cmd_inspect_mask(args: argparse.Namespace) -> int:
         raise CheckpointError("checkpoint schema does not match the configured data source")
     insp = inspect_masks(model, ds, sample_size=args.sample, n_examples=args.examples, seed=cfg.seed)
     out = _out_dir(args.out)
-    for hist in insp.histograms:
-        (out / f"mask_hist_block{hist.block}.txt").write_text(hist.text())
+    for name, hist in zip(hist_files, insp.histograms):
+        (out / name).write_text(hist.text())
     (out / "mask_examples.txt").write_text(insp.examples_text())
     print(f"wrote {len(insp.histograms)} histograms and {len(insp.example_indices)} example masks to {out}")
     return 0
@@ -315,7 +324,7 @@ def cmd_inspect_mask(args: argparse.Namespace) -> int:
 
 def cmd_ablation(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    _check_out_dir(cfg.out_dir)
+    _check_out_dir(cfg.out_dir, ("ablation_report.txt", "ablation_detail.txt"))
     splits, _ = load_splits(cfg)
     results, table = run_ablation_grid(splits, cfg.model, cfg.train)
     out = _out_dir(cfg.out_dir)
@@ -345,7 +354,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"sweep values repeat a value of {args.param}: {','.join(values)}")
     base_out = Path(runs[0][1].out_dir)
     for v, _ in runs:
-        _check_out_dir(base_out / f"sweep_{args.param}_{v}")
+        _check_out_dir(base_out / f"sweep_{args.param}_{v}", _RUN_FILES)
+    _check_out_dir(base_out, (f"sweep_{args.param}_summary.txt",))
     splits, _ = load_splits(runs[0][1])
     summary = []
     for v, cfg in runs:
@@ -410,15 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MaskNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, MetricError) else 1
 
 
 if __name__ == "__main__":

@@ -348,10 +348,7 @@ def standardize_numerical(
     mean = train.num.mean(axis=0)
     std = train.num.std(axis=0)
     std[std < 1e-12] = 1.0
-    out = []
-    for ds in (train, *others):
-        out.append(replace(ds, num=(ds.num - mean) / std))
-    return tuple(out)
+    return tuple(replace(ds, num=(ds.num - mean) / std) for ds in (train, *others))
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +386,8 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     logits = spec.logit_scale * pair_sum
     labels = (rng.uniform(size=n) < sigmoid(logits)).astype(np.float64)
 
-    fields = tuple(
-        Field(f"f{i}", CATEGORICAL, tuple(f"v{j}" for j in range(nv))) for i in range(f)
-    )
-    schema = FeatureSchema(fields)
-    num = np.zeros((n, 0), dtype=np.float64)
-    return Dataset(schema=schema, cat=cat, num=num, labels=labels, logits=logits)
+    schema = FeatureSchema(tuple(Field(f"f{i}", CATEGORICAL, tuple(f"v{j}" for j in range(nv))) for i in range(f)))
+    return Dataset(schema=schema, cat=cat, num=np.zeros((n, 0)), labels=labels, logits=logits)
 
 
 def marginal_ctr_scores(train: Dataset, eval_ds: Dataset) -> np.ndarray:
@@ -432,10 +425,7 @@ def build_manifest(
         "positive_rate": f"{full.positive_rate:.6f}",
     }
     for fld in full.schema.fields:
-        if fld.kind == CATEGORICAL:
-            man[f"field.{fld.name}"] = f"categorical,vocab={fld.vocab_size}"
-        else:
-            man[f"field.{fld.name}"] = "numerical"
+        man[f"field.{fld.name}"] = f"categorical,vocab={fld.vocab_size}" if fld.kind == CATEGORICAL else "numerical"
     train, valid, test = splits
     man["generator"] = "multiplicative-latent"
     man["generator.fields"] = str(spec.fields)

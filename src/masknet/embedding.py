@@ -8,7 +8,9 @@ embedding has width m = f*k.
 
 The tables sit back to back in the parameter store, so together they form
 one (R, k) matrix with each field's rows in schema order
-(`FeatureSchema.table_rows`): forward gathers from it, backward scatters.
+(`FeatureSchema.table_rows`): forward gathers from it; backward bins the
+batch's categorical cells by (row * k + column), over every row of a table
+no larger than the batch's cell count, else over the touched rows only.
 """
 
 from __future__ import annotations
@@ -68,10 +70,17 @@ def embed_bwd(
     cat: np.ndarray,
     num: np.ndarray,
 ) -> None:
-    """Add into touched rows only: one scatter over the categorical cells, indexed
-    like the forward gather, and one value-weighted sum per numerical row."""
-    rows = schema.table_rows
-    dv = dv.reshape(dv.shape[0], schema.f, grad_table.shape[1])
-    np.add.at(grad_table, cat + rows.cat_first, dv[:, rows.cat_pos])
+    """Sum the categorical cells per table row and column with one bincount,
+    add the sums into the table at once, then add each numerical row's
+    value-weighted batch sum."""
+    rows, k = schema.table_rows, grad_table.shape[1]
+    dv = dv.reshape(dv.shape[0], schema.f, k)
+    cells, used, n = cat + rows.cat_first, slice(None), len(grad_table)
+    if n > cells.size:  # a bin per touched row, not per table row
+        used, cells = np.unique(cells, return_inverse=True)
+        n = used.size
+    bins = (cells.reshape(cat.shape)[:, :, None] * k + np.arange(k)).ravel()
+    sums = np.bincount(bins, np.take(dv, rows.cat_pos, axis=1).ravel(), minlength=n * k)
+    grad_table[used] += sums.reshape(n, k)
     for j, (pos, row) in enumerate(zip(rows.num_pos, rows.num_row)):
         grad_table[row] += (num[:, j, None] * dv[:, pos]).sum(axis=0)

@@ -312,9 +312,7 @@ class _Undrawn:
 def relu_pattern(cache: dict) -> np.ndarray | None:
     """Concatenated activation signs of every ReLU site, for kink detection."""
     pre = cache["relu_pre"]
-    if not pre:
-        return None
-    return np.concatenate([(a > 0.0).ravel() for a in pre])
+    return np.concatenate([(a > 0.0).ravel() for a in pre]) if pre else None
 
 
 # ---------------------------------------------------------------------------

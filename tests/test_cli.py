@@ -233,7 +233,7 @@ def test_inspect_mask_rejects_maskless_checkpoint(tmp_path):
     assert code == 1  # dnn checkpoint has no mask units
 
 
-def inspect_mutated_checkpoint(tmp_path, mutate):
+def inspect_mutated_checkpoint(tmp_path, mutate, out=None):
     """Exit code of inspect-mask on a saved 2-block serial model whose header
     `mutate` has edited in place, and the checkpoint's path."""
     from masknet.data import SyntheticSpec, gen_synthetic
@@ -247,7 +247,7 @@ def inspect_mutated_checkpoint(tmp_path, mutate):
     mutate(header)
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     cfg = write_config(tmp_path)
-    return main(["inspect-mask", "--checkpoint", str(path), "--config", str(cfg), "--out", str(tmp_path / "i")]), path
+    return main(["inspect-mask", "--checkpoint", str(path), "--config", str(cfg), "--out", str(out or tmp_path / "i")]), path
 
 
 def test_inspect_mask_rejects_header_without_schema(tmp_path, capsys):
@@ -352,6 +352,36 @@ def test_sweep_value_directory_that_is_a_file_exits_two(tmp_path, capsys, monkey
     assert main(["sweep", "--config", str(cfg), "--param", "blocks", "--values", "1,2"]) == 2
     assert one_error_line(capsys) == f"error: output directory {tmp_path / 'sw' / 'sweep_blocks_2'}: " \
         f"{tmp_path / 'sw' / 'sweep_blocks_2'} is not a directory\n"
+
+
+# (command, arguments after the config, one file the command writes, relative
+# to its output directory); the test makes that file a directory first
+OUT_FILES = [
+    ("train", [], "checkpoint.ckpt"),
+    ("ablation", [], "ablation_detail.txt"),
+    ("sweep", ["--param", "blocks", "--values", "1,2"], "sweep_blocks_2/history.csv"),
+    ("sweep", ["--param", "blocks", "--values", "1,2"], "sweep_blocks_summary.txt"),
+    ("gen-synth", [], "manifest.txt"),
+    ("inspect-mask", [], "mask_hist_block2.txt"),
+]
+
+
+@pytest.mark.parametrize("command, extra, name", OUT_FILES, ids=[f"{c}-{n}" for c, _, n in OUT_FILES])
+def test_output_file_that_is_a_directory_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command, extra, name):
+    for func in ("load_splits", "gen_synthetic", "run_experiment"):
+        monkeypatch.setattr(f"masknet.cli.{func}", lambda *a, **k: pytest.fail("did work for an unwritable output file"))
+    out = tmp_path / "run1"
+    (out / name).mkdir(parents=True)
+    if command == "inspect-mask":
+        code, _ = inspect_mutated_checkpoint(tmp_path, lambda header: None, out=out)
+    elif command == "gen-synth":
+        code = main(["gen-synth", "--out", str(out)])
+    else:
+        code = main([command, "--config", str(write_config(tmp_path)), *extra])
+    assert code == 2
+    assert one_error_line(capsys) == f"error: output file {out / name}: exists and is not a file\n"
+    assert [p.name for p in out.iterdir()] == [Path(name).parts[0]]  # nothing written
+    assert not any((out / name).iterdir())
 
 
 def test_out_dir_turns_a_failed_mkdir_into_a_config_error(tmp_path):

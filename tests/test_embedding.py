@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import random_batch, small_schema
 from masknet.data import CATEGORICAL, NUMERICAL, Field, FeatureSchema
@@ -114,38 +114,59 @@ def test_out_of_range_index_names_its_field():
         embed_fwd(table, schema, np.array([[-1, 0], [0, 0]], dtype=np.int64), num)
 
 
+def _embed_bwd_inputs(sizes, k, b, seed, repeat=False, scale=1.0, broadcast=False, random_start=False):
+    """A schema with one field per entry of `sizes` (a vocabulary size, or None
+    for a numerical field), a batch of `b` rows with about a fifth of its
+    categorical cells OOV, its gradient and a starting gradient table."""
+    schema = FeatureSchema(tuple(
+        Field(f"f{i}", NUMERICAL) if n is None else Field(f"f{i}", CATEGORICAL, tuple(f"v{j}" for j in range(n)))
+        for i, n in enumerate(sizes)
+    ))
+    rng = make_rng(seed, 0)
+    oov = np.array([f.vocab_size for f in schema.categorical], dtype=np.int64)
+    cat = rng.integers(0, oov + 1, size=(b, oov.size))
+    if repeat:  # few distinct rows, so every touched row repeats
+        cat = cat[rng.integers(0, min(b, 3), size=b)]
+    cat = np.where(rng.random(cat.shape) < 0.2, oov, cat)
+    num = rng.normal(size=(b, len(schema.numerical))) * scale
+    if broadcast:  # the linear baseline's k=1 gradient, one value per row
+        dv = np.broadcast_to(rng.normal(size=(b, 1)), (b, schema.f))
+    else:
+        dv = rng.normal(size=(b, schema.f * k))
+    rows = sum(1 if n is None else n + 1 for n in sizes)
+    start = rng.normal(size=(rows, k)) if random_start else np.zeros((rows, k))
+    return schema, cat, num, dv, start
+
+
 @st.composite
 def _embed_bwd_case(draw):
     """1-8 fields of either kind in any order, k 1-11, a batch of 1-299 rows
     with repeated and OOV indices, and a zero or random starting gradient."""
-    kinds = draw(st.lists(st.sampled_from([CATEGORICAL, NUMERICAL]), min_size=1, max_size=8))
-    sizes = [draw(st.integers(1, 59)) if kind == CATEGORICAL else 0 for kind in kinds]
-    schema = FeatureSchema(tuple(
-        Field(f"f{i}", kind, tuple(f"v{j}" for j in range(n))) for i, (kind, n) in enumerate(zip(kinds, sizes))
-    ))
-    k, b = draw(st.integers(1, 11)), draw(st.integers(1, 299))
-    rng = make_rng(draw(st.integers(0, 2**32 - 1)), 0)
-    oov = np.array([f.vocab_size for f in schema.categorical], dtype=np.int64)
-    cat = rng.integers(0, oov + 1, size=(b, oov.size))
-    if draw(st.booleans()):  # few distinct rows, so every touched row repeats
-        cat = cat[rng.integers(0, min(b, 3), size=b)]
-    cat = np.where(rng.random(cat.shape) < 0.2, oov, cat)
-    num = rng.normal(size=(b, len(schema.numerical))) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
-    if k == 1 and draw(st.booleans()):  # the linear baseline's broadcast gradient
-        dv = np.broadcast_to(rng.normal(size=(b, 1)), (b, schema.f))
-    else:
-        dv = rng.normal(size=(b, schema.f * k))
-    rows = sum(n + 1 if kind == CATEGORICAL else 1 for kind, n in zip(kinds, sizes))
-    start = rng.normal(size=(rows, k)) if draw(st.booleans()) else np.zeros((rows, k))
-    return schema, cat, num, dv, start
+    sizes = draw(st.lists(st.one_of(st.none(), st.integers(1, 59)), min_size=1, max_size=8))
+    k = draw(st.integers(1, 11))
+    return _embed_bwd_inputs(
+        sizes, k, b=draw(st.integers(1, 299)), seed=draw(st.integers(0, 2**32 - 1)),
+        repeat=draw(st.booleans()), scale=draw(st.sampled_from([1.0, 1e-3, 1e3])),
+        broadcast=k == 1 and draw(st.booleans()), random_start=draw(st.booleans()),
+    )
 
 
 @given(case=_embed_bwd_case())
+# a bin for every table row: 8 rows against 100 categorical cells
+@example(case=_embed_bwd_inputs([3, None, 2], k=4, b=50, seed=1, random_start=True))
+# bins for the touched rows only: 121 rows against 10 cells
+@example(case=_embed_bwd_inputs([59, None, 59], k=3, b=5, seed=2, random_start=True))
+# no categorical field, so nothing to bin
+@example(case=_embed_bwd_inputs([None, None], k=2, b=7, seed=3, random_start=True))
+# the linear baseline: k=1, a broadcast gradient, OOV rows
+@example(case=_embed_bwd_inputs([5, None, 3], k=1, b=40, seed=4, broadcast=True))
 def test_embed_bwd_matches_per_field_walk_bit_for_bit(case):
-    """One scatter over the stacked table adds each row's terms in the order
-    the per-field walk does, from any starting gradient."""
+    """From a zeroed table, the bincount sums each row's terms in the batch
+    order in which the per-field walk adds them, so the two agree bit for
+    bit; from any other start, the batch's per-row sums are added once
+    (from zeros, `start + walked` is `walked` to the bit)."""
     schema, cat, num, dv, start = case
-    got, want = start.copy(), start.copy()
+    got, walked = start.copy(), np.zeros_like(start)
     embed_bwd(dv, got, schema, cat, num)
-    o_embed_bwd(dv, want, schema, cat, num)
-    assert np.array_equal(got, want)
+    o_embed_bwd(dv, walked, schema, cat, num)
+    assert np.array_equal(got, start + walked)
