@@ -257,12 +257,12 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     _check_out_dir(args.out, ("data.csv", "schema.txt", "manifest.txt"))
     full = gen_synthetic(spec)
-    splits = split_dataset(full, args.seed)
+    man = build_manifest(full, spec=spec, splits=split_dataset(full, args.seed), split_seed=args.seed)
+    texts = {"data.csv": dataset_to_csv(full), "schema.txt": schema_spec_text(full.schema, with_logit=True),
+             "manifest.txt": manifest_text(man)}  # all built before anything is written
     out = _out_dir(args.out)
-    (out / "data.csv").write_text(dataset_to_csv(full))
-    (out / "schema.txt").write_text(schema_spec_text(full.schema, with_logit=True))
-    man = build_manifest(full, spec=spec, splits=splits, split_seed=args.seed)
-    (out / "manifest.txt").write_text(manifest_text(man))
+    for name, text in texts.items():
+        (out / name).write_text(text)
     print(f"wrote {full.n} instances to {out}/data.csv (positive rate {full.positive_rate:.4f})")
     print(f"manifest: bayes_auc_test={man.get('bayes_auc_test')} marginal_auc_test={man.get('marginal_auc_test')}")
     return 0

@@ -447,26 +447,46 @@ def manifest_text(man: dict[str, str]) -> str:
     return "".join(f"{k}={v}\n" for k, v in man.items())
 
 
+_CSV_BLOCK = 4096  # rows per block: one list of cells and separators, few cell strings alive at once
+
+
 def dataset_to_csv(ds: Dataset, delimiter: str = ",") -> str:
     """Serialize a dataset back to delimited text (with label and, when
-    present, true_logit columns), zipping rows from one lazy iterator per
-    column: category tokens (OOV_TOKEN for the OOV index) and float reprs
-    (numpy's float64 is a float, so float.__repr__ prints it as Python does)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    header = [f.name for f in ds.schema.fields] + ["label"]
-    cat, num = iter(ds.cat.T), iter(ds.num.T)
-    columns = [
-        map((*f.vocab, OOV_TOKEN).__getitem__, next(cat)) if f.kind == CATEGORICAL else map(float.__repr__, next(num))
-        for f in ds.schema.fields
-    ]
-    columns.append(map(str, map(int, ds.labels)))
-    if ds.logits is not None:
-        header.append("true_logit")
-        columns.append(map(float.__repr__, ds.logits))
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    return buf.getvalue()
+    present, true_logit columns), byte for byte as csv.writer writes one row
+    per instance: category tokens (OOV_TOKEN for the OOV index), float reprs,
+    int labels.  Built a block of rows at a time, column by column; a cell
+    goes through csv.writer only when it holds a character it might quote."""
+    one = io.StringIO()
+    writer = csv.writer(one, delimiter=delimiter, lineterminator="\n")  # rejects a delimiter csv cannot use
+    special = frozenset((delimiter, '"', "\r", "\n"))
+
+    def cell(text: str) -> str:
+        if special.isdisjoint(text):
+            return text
+        one.truncate(0)
+        one.seek(0)
+        writer.writerow([text])
+        return one.getvalue()[:-1]
+
+    header = [f.name for f in ds.schema.fields] + ["label"] + ["true_logit"] * (ds.logits is not None)
+    tables = {i: np.array([cell(t) for t in (*f.vocab, OOV_TOKEN)], dtype=object)
+              for i, f in enumerate(ds.schema.fields) if f.kind == CATEGORICAL}
+    quote_numbers = not special.isdisjoint("0123456789.e+-infa")  # a float repr's or label's characters
+    width, text = 2 * len(header), [delimiter.join(map(cell, header)) + "\n"]
+    for lo in range(0, ds.n, _CSV_BLOCK):
+        hi = lo + _CSV_BLOCK
+        cat, num = iter(ds.cat[lo:hi].T), iter(ds.num[lo:hi].T)
+        columns = [tables[i][next(cat)].tolist() if i in tables else list(map(float.__repr__, next(num).tolist()))
+                   for i in range(ds.schema.f)]
+        columns.append(list(map(str, map(int, ds.labels[lo:hi].tolist()))))
+        if ds.logits is not None:
+            columns.append(list(map(float.__repr__, ds.logits[lo:hi].tolist())))
+        parts = [delimiter] * (width * len(columns[0]))
+        parts[width - 1 :: width] = ["\n"] * len(columns[0])
+        for j, column in enumerate(columns):
+            parts[2 * j :: width] = list(map(cell, column)) if quote_numbers and j not in tables else column
+        text.append("".join(parts))
+    return "".join(text)
 
 
 def schema_spec_text(schema: FeatureSchema, with_logit: bool = False) -> str:

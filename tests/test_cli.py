@@ -21,11 +21,13 @@ from masknet.cli import (
     main,
     parse_config_file,
 )
+from masknet.data import SyntheticSpec, gen_synthetic
 from masknet.errors import ConfigError
 from masknet.evaluate import relaimp
 from masknet.maskblock import Ablation
 from masknet.model import TOPOLOGIES, ModelSpec
 from masknet.train import TrainConfig
+from oracles import o_dataset_to_csv
 
 TINY_CONFIG = """
 [data]
@@ -94,6 +96,22 @@ def test_gen_synth_scale_zero_chance_rate(tmp_path):
 
 def test_gen_synth_bad_sizes_is_usage_error(tmp_path):
     assert main(["gen-synth", "--fields", "1", "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("instances, seed", [(10, 2), (30, 2), (12, 1)])
+def test_gen_synth_undefined_auc_writes_nothing(tmp_path, capsys, instances, seed):
+    """A split with one label class exits 3 before the output directory exists."""
+    out = tmp_path / "x"
+    assert main(["gen-synth", "--instances", str(instances), "--seed", str(seed), "--out", str(out)]) == 3
+    assert "AUC undefined" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_synth_full_size_csv_matches_row_by_row_writer(tmp_path):
+    """Several blocks of rows and 10,001-entry token tables, byte for byte."""
+    assert main(["gen-synth", "--instances", "20000", "--vocab", "10000", "--seed", "3", "--out", str(tmp_path)]) == 0
+    full = gen_synthetic(SyntheticSpec(instances=20000, vocab=10000, seed=3))
+    assert (tmp_path / "data.csv").read_bytes() == o_dataset_to_csv(full, ",").encode()
 
 
 def test_train_command_writes_outputs(tmp_path):

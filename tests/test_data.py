@@ -1,10 +1,12 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from masknet import data
 from masknet.data import (
     CATEGORICAL,
     NUMERICAL,
@@ -360,47 +362,64 @@ def test_ingest_matches_row_by_row_oracle(case):
 
 
 _FLOAT = st.floats() | st.sampled_from([-0.0, 1e-300, 0.1, 1e22])
+# export delimiters: the ingest ones, and characters that float reprs hold
+EXPORT_DELIMITERS = DELIMITERS + [".", "e", "-", "n"]
+_EXPORT_TOKEN = _TOKEN | st.sampled_from(["", "\r", "a\rb", "1e-05", "nan", "-0.5"])
 
 
 @st.composite
 def _dataset_case(draw):
-    """A dataset with OOV indices, tokens that need quoting, numerical fields
-    with any float, and logits or none."""
-    fields = [Field(f"c{i}", CATEGORICAL, tuple(draw(st.lists(_TOKEN, max_size=4))))
+    """A dataset with OOV indices, tokens that need quoting (or need it only
+    under some delimiters), numerical fields with any float, labels of 0, 1
+    and -0.0, and logits or none."""
+    fields = [Field(f"c{i}", CATEGORICAL, tuple(draw(st.lists(_EXPORT_TOKEN, max_size=4))))
               for i in range(draw(st.integers(1, 3)))]
     fields += [Field(f"x {i}", NUMERICAL) for i in range(draw(st.integers(0, 2)))]
     schema = FeatureSchema(tuple(draw(st.permutations(fields))))
     n = draw(st.integers(0, 10))
     cat = np.array([[draw(st.integers(0, f.vocab_size)) for f in schema.categorical] for _ in range(n)], dtype=np.int64)
     num = np.array([[draw(_FLOAT) for _ in schema.numerical] for _ in range(n)], dtype=np.float64)
-    labels = np.array([draw(st.sampled_from([0.0, 1.0])) for _ in range(n)])
+    labels = np.array([draw(st.sampled_from([0.0, 1.0, -0.0])) for _ in range(n)])
     logits = np.array([draw(_FLOAT) for _ in range(n)]) if draw(st.booleans()) else None
     ds = Dataset(schema, cat.reshape(n, len(schema.categorical)), num.reshape(n, len(schema.numerical)), labels, logits)
-    return ds, draw(st.sampled_from(DELIMITERS))
+    return ds, draw(st.sampled_from(EXPORT_DELIMITERS))
 
 
-@settings(max_examples=200)
-@given(case=_dataset_case())
-def test_export_matches_row_by_row_writer(case):
+@settings(max_examples=300)
+@given(case=_dataset_case(), block=st.sampled_from([3, data._CSV_BLOCK]))
+def test_export_matches_row_by_row_writer(case, block):
+    """Any dataset, one block or blocks of 3 rows (several, the last partial)."""
     ds, delimiter = case
-    assert dataset_to_csv(ds, delimiter) == o_dataset_to_csv(ds, delimiter)
+    with mock.patch.object(data, "_CSV_BLOCK", block):
+        assert dataset_to_csv(ds, delimiter) == o_dataset_to_csv(ds, delimiter)
 
 
-@pytest.mark.parametrize("delimiter", DELIMITERS)
-@pytest.mark.parametrize("with_logits", [False, True])
-def test_export_quotes_tokens_and_writes_oov(delimiter, with_logits):
+def _quoting_case(n, with_logits):
     schema = FeatureSchema((
-        Field("city", CATEGORICAL, ("a,b", 'say "hi"', "two\nlines", " pad ", "x;y|z\tw")),
+        Field("city", CATEGORICAL, ("a,b", 'say "hi"', "two\nlines", " pad ", "x;y|z\tw", "", "r\rn", "1.5e-07")),
         Field("price", NUMERICAL),
     ))
-    n = 6
-    ds = Dataset(
+    return Dataset(
         schema,
-        cat=np.arange(n, dtype=np.int64).reshape(n, 1) % 6,  # index 5 is the OOV slot
-        num=np.array([[0.1], [-0.0], [1e300], [np.nan], [-np.inf], [2.5]]),
-        labels=np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]),
+        cat=np.arange(n, dtype=np.int64).reshape(n, 1) % 9,  # index 8 is the OOV slot
+        num=np.resize([0.1, -0.0, 1e300, np.nan, -np.inf, 2.5], (n, 1)),
+        labels=np.resize([0.0, 1.0, -0.0, 0.0, 1.0, 0.0], n),
         logits=np.linspace(-1.0, 1.0, n) if with_logits else None,
     )
+
+
+@pytest.mark.parametrize("delimiter", EXPORT_DELIMITERS)
+@pytest.mark.parametrize("with_logits", [False, True])
+def test_export_quotes_tokens_and_writes_oov(delimiter, with_logits):
+    ds = _quoting_case(9, with_logits)
     text = dataset_to_csv(ds, delimiter)
     assert text == o_dataset_to_csv(ds, delimiter)
     assert "<OOV>" in text
+
+
+@pytest.mark.parametrize("n", [0, 3, 10])
+def test_export_by_blocks_matches_row_by_row_writer(monkeypatch, n):
+    """No rows (the header alone), one full block, and a last partial block."""
+    monkeypatch.setattr(data, "_CSV_BLOCK", 3)
+    ds = _quoting_case(n, with_logits=True)
+    assert dataset_to_csv(ds, ",") == o_dataset_to_csv(ds, ",")
