@@ -32,6 +32,8 @@ from .numeric import (
     affine_fwd,
     gradcheck,
     make_rng,
+    relu_bwd,
+    relu_fwd,
     sigmoid,
 )
 from .train import objective_closure
@@ -78,8 +80,8 @@ LAYER_CASES = {
     ),
     "relu": lambda n: dict(
         tol=1e-6, inputs={"x": _away_from_kinks(n(3, 5))}, u=n(3, 5),
-        fwd=lambda p: (np.maximum(p["x"], 0.0), p["x"]),
-        bwd=lambda u, x, p: (u * (x > 0.0),), wrt=("x",), kink=lambda x: x,
+        fwd=lambda p: (relu_fwd(p["x"]), p["x"]),
+        bwd=lambda u, x, p: (relu_bwd(u, x),), wrt=("x",), kink=lambda x: x,
     ),
     "sigmoid_logloss": lambda n: dict(
         tol=1e-5, inputs={"w": n(4), "x": n(4)}, u=1.0,

@@ -5,6 +5,10 @@ the (per-field normalized) instance embedding, or the previous block's
 output.  The mask unit itself always reads the raw instance embedding.
 Ablation switches remove one component at a time so a stack of blocks can be
 collapsed back to a plain MLP for equivalence checks.
+
+`block_arrays` is the only block function that reads `Ablation`: a part it
+leaves out has no arrays, and `maskblock_fwd` and `maskblock_bwd` skip every
+part whose arrays are None.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ class Ablation:
 @dataclass
 class BlockParams:
     """Arrays for one block, each field named by the last part of its
-    parameter name; mask/ffn/ln entries are None when ablated away."""
+    parameter name.  A part whose arrays are None is skipped: no mask unit
+    when `w1` is None, no FFN when `w` is None, no output LN when `g` is
+    None."""
 
     w1: np.ndarray | None = None  # aggregation (t, m)
     b1: np.ndarray | None = None  # (t,)
@@ -66,9 +72,10 @@ class BlockParams:
 
 def block_arrays(
     prefix: str, m: int, z: int, q: int, ab: Ablation, reduction: int, mask_bias_init: float, rng
-) -> dict[str, np.ndarray]:
+) -> tuple[dict[str, np.ndarray], int]:
     """Initial arrays of one block reading an m-wide embedding and masking a
-    z-wide target, named `prefix`.<part>, in store order."""
+    z-wide target, named `prefix`.<part>, in store order; and the block's
+    output width (z when the FFN is ablated away, else q)."""
     arrays = {}
     if not ab.no_mask:
         t = reduction * z
@@ -81,53 +88,45 @@ def block_arrays(
         if not ab.no_ln:
             arrays["ln.g"] = np.ones(q)
             arrays["ln.b"] = np.zeros(q)
-    return {f"{prefix}.{n}": a for n, a in arrays.items()}
+    return {f"{prefix}.{n}": a for n, a in arrays.items()}, z if ab.no_ffn else q
 
 
-def block_output_width(target_width: int, q: int, ab: Ablation) -> int:
-    return target_width if ab.no_ffn else q
-
-
-def maskblock_fwd(
-    v_emb: np.ndarray,
-    target: np.ndarray,
-    p: BlockParams,
-    ab: Ablation,
-    eps: float,
-) -> tuple[np.ndarray, dict]:
+def maskblock_fwd(v_emb: np.ndarray, target: np.ndarray, p: BlockParams, eps: float) -> tuple[np.ndarray, dict]:
     """Core block: mask(v_emb) * target, then ReLU(LN(W @ .)).
 
     `target` is the normalized embedding for an embedding block or the raw
     previous-block output for a stacked block (no re-normalization of it).
+    The cache's `relu_pre` lists the block's pre-ReLU arrays, mask unit
+    first, for kink detection in gradcheck.
     """
-    cache: dict = {"target": target}
-    if ab.no_mask:
-        masked = target
-    else:
+    cache: dict = {"target": target, "relu_pre": []}
+    masked = target
+    if p.w1 is not None:
         mask, mcache = instance_mask_fwd(v_emb, p.w1, p.b1, p.w2, p.b2)
         masked = apply_mask(mask, target)
         cache["mask"] = mask
         cache["mcache"] = mcache
+        cache["relu_pre"].append(mcache[1])  # aggregation-layer pre-activation
     cache["masked"] = masked
-    if ab.no_ffn:
+    if p.w is None:
         return masked, cache
-    if ab.no_ln:
+    if p.g is None:
         z = affine_fwd(masked, p.w)
         cache["z"] = z
+        cache["relu_pre"].append(z)
         return relu_fwd(z), cache
     out, hcache = ln_hid_fwd(masked, p.w, p.g, p.b, eps)
     cache["hcache"] = hcache
+    cache["relu_pre"].append(hcache[2])
     return out, cache
 
 
-def maskblock_bwd(
-    dout: np.ndarray, cache: dict, p: BlockParams, g: BlockParams, ab: Ablation
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Adds the parameter gradients into `g`; returns (d_v_emb through the
-    mask path or None, d_target)."""
-    if ab.no_ffn:
+def maskblock_bwd(dout: np.ndarray, cache: dict, p: BlockParams, g: BlockParams, dv_emb: np.ndarray) -> np.ndarray:
+    """Adds the parameter gradients into `g` and the mask unit's gradient on
+    the instance embedding into `dv_emb`; returns d_target."""
+    if p.w is None:
         dmasked = dout
-    elif ab.no_ln:
+    elif p.g is None:
         dz = relu_bwd(dout, cache["z"])
         dmasked, dw, _ = affine_bwd(dz, cache["masked"], p.w, with_bias=False)
         g.w += dw
@@ -136,22 +135,13 @@ def maskblock_bwd(
         g.w += dw
         g.g += dg
         g.b += db
-    if ab.no_mask:
-        return None, dmasked
+    if p.w1 is None:
+        return dmasked
     dmask, dtarget = apply_mask_bwd(dmasked, cache["mask"], cache["target"])
     dv, dw1, db1, dw2, db2 = instance_mask_bwd(dmask, cache["mcache"], p.w1, p.w2)
+    dv_emb += dv
     g.w1 += dw1
     g.b1 += db1
     g.w2 += dw2
     g.b2 += db2
-    return dv, dtarget
-
-
-def block_relu_pre(cache: dict, ab: Ablation) -> list[np.ndarray]:
-    """Pre-ReLU arrays inside one block, for kink detection in gradcheck."""
-    pre = []
-    if not ab.no_mask:
-        pre.append(cache["mcache"][1])  # aggregation-layer pre-activation
-    if not ab.no_ffn:
-        pre.append(cache["z"] if ab.no_ln else cache["hcache"][2])
-    return pre
+    return dtarget

@@ -30,15 +30,7 @@ from .data import CATEGORICAL, Dataset, FeatureSchema, Field
 from .embedding import embed_bwd, embed_fwd, embedding_param_names, embedding_tables, init_embedding
 from .errors import CheckpointError, ConfigError, SchemaError, check_finite_fields
 from .layers import DEFAULT_LN_EPS, ln_emb_bwd, ln_emb_fwd
-from .maskblock import (
-    Ablation,
-    BlockParams,
-    block_arrays,
-    block_output_width,
-    block_relu_pre,
-    maskblock_bwd,
-    maskblock_fwd,
-)
+from .maskblock import Ablation, BlockParams, block_arrays, maskblock_bwd, maskblock_fwd
 from .numeric import ParamStore, affine_bwd, affine_fwd, make_rng, relu_bwd, relu_fwd, sigmoid
 
 INIT_STREAM = 0
@@ -112,12 +104,12 @@ class Model:
         self.mask_block_widths = spec.block_widths if spec.topology in ("serial", "parallel") else ()
         self.banked = spec.topology == "parallel"
         self.mlp_widths = {"parallel": spec.top_widths, "dnn": spec.block_widths}.get(spec.topology, ())
-        self.has_mask_units = bool(self.mask_block_widths) and not spec.ablation.no_mask
         rng = make_rng(spec.seed, INIT_STREAM) if draw_init else _Undrawn()
         self.store = ParamStore(self._init_arrays(rng))
         names = [f"block{i}" for i in range(1, len(self.mask_block_widths) + 1)]
         self._blocks = [BlockParams.named(self.store.params, n) for n in names]
         self._block_grads = [BlockParams.named(self.store.grads, n) for n in names]
+        self.has_mask_units = any(bp.w1 is not None for bp in self._blocks)
         prefix, k = ("lin", 1) if spec.topology == "linear" else ("emb", spec.embed_dim)
         self._emb, self._emb_grad = embedding_tables(self.store, schema, k, prefix)
 
@@ -149,8 +141,8 @@ class Model:
         out_widths = []
         for i, q in enumerate(self.mask_block_widths, start=1):
             z = m if self.banked else width
-            arrays |= block_arrays(f"block{i}", m, z, q, ab, spec.reduction, spec.mask_bias_init, rng)
-            width = block_output_width(z, q, ab)
+            block, width = block_arrays(f"block{i}", m, z, q, ab, spec.reduction, spec.mask_bias_init, rng)
+            arrays |= block
             out_widths.append(width)
         if self.banked:
             width = sum(out_widths)
@@ -178,7 +170,6 @@ class Model:
         """
         p = self.store.params
         spec = self.spec
-        ab = spec.ablation
         cache: dict = {"cat": cat, "num": num, "relu_pre": []}
         v_emb = embed_fwd(self._emb, self.schema, cat, num)
 
@@ -199,8 +190,8 @@ class Model:
                 )
             h, outs, cache["blocks"] = target, [], []
             for bp in self._blocks:
-                h, bc = maskblock_fwd(v_emb, target if self.banked else h, bp, ab, spec.ln_eps)
-                cache["relu_pre"] += block_relu_pre(bc, ab)
+                h, bc = maskblock_fwd(v_emb, target if self.banked else h, bp, spec.ln_eps)
+                cache["relu_pre"] += bc["relu_pre"]
                 cache["blocks"].append(bc)
                 outs.append(h)
             if self.banked:
@@ -247,23 +238,17 @@ class Model:
     def _blocks_bwd(self, dh: np.ndarray, cache: dict) -> np.ndarray:
         """dL/dv_emb from the gradient on the blocks' output: through every
         mask unit, and through the targets and the per-field LN."""
-        ab = self.spec.ablation
         dv_emb = np.zeros_like(cache["v_emb"])
         steps = list(zip(self._blocks, self._block_grads, cache["blocks"]))
         if self.banked:
             dtarget = np.zeros_like(dv_emb)
             bounds = [0, *accumulate(cache["merge_widths"])]
             for (bp, bg, bc), lo, hi in zip(steps, bounds, bounds[1:]):
-                dv, dt = maskblock_bwd(dh[:, lo:hi], bc, bp, bg, ab)
-                if dv is not None:
-                    dv_emb += dv
-                dtarget += dt
+                dtarget += maskblock_bwd(dh[:, lo:hi], bc, bp, bg, dv_emb)
         else:
             dtarget = dh
             for bp, bg, bc in reversed(steps):
-                dv, dtarget = maskblock_bwd(dtarget, bc, bp, bg, ab)
-                if dv is not None:
-                    dv_emb += dv
+                dtarget = maskblock_bwd(dtarget, bc, bp, bg, dv_emb)
         if "ln_cache" in cache:
             g = self.store.grads
             dtarget, dg, db = ln_emb_bwd(dtarget, cache["ln_cache"], self.store.params["ln_emb.g"])

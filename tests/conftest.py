@@ -1,5 +1,7 @@
 import sys
 import tempfile
+from dataclasses import fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 sys.path.insert(0, str(Path(__file__).parent))
 
 from masknet.data import CATEGORICAL, NUMERICAL, Field, FeatureSchema
+from masknet.maskblock import Ablation
 from masknet.numeric import make_rng
 
 # Property tests replay the same examples on every run (derandomize), keep no
@@ -21,6 +24,11 @@ settings.load_profile("replay")
 # from collection on; that goes to a directory removed when the run ends.
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+# Every subset of the block ablations, as name tuples, the empty one first.
+_PARTS = [f.name for f in fields(Ablation)]
+ABLATION_SUBSETS = [names for n in range(len(_PARTS) + 1) for names in combinations(_PARTS, n)]
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_batch, small_schema
+from conftest import ABLATION_SUBSETS, random_batch, small_schema
 from masknet.data import Dataset
 from masknet.maskblock import Ablation
 from masknet.model import Model, ModelSpec
@@ -22,15 +22,14 @@ import checks  # noqa: E402
 
 ROWS = 64
 
-SPECS = {
-    "serial": ModelSpec(topology="serial", block_widths=(6, 4), embed_dim=3, seed=3),
-    "parallel": ModelSpec(topology="parallel", block_widths=(5, 4), top_widths=(6,), embed_dim=3, seed=3),
-    "dnn": ModelSpec(topology="dnn", block_widths=(6, 4), embed_dim=3, seed=3),
-}
-for _name in ("no_mask", "no_ln", "no_ffn"):
-    SPECS[f"serial_{_name}"] = ModelSpec(
-        topology="serial", block_widths=(6, 4), embed_dim=3, ablation=Ablation.from_names([_name]), seed=3
-    )
+# dnn, and serial and parallel under every subset of the ablations
+SPECS = {"dnn": ModelSpec(topology="dnn", block_widths=(6, 4), embed_dim=3, seed=3)}
+_WIDTHS = {"serial": dict(block_widths=(6, 4)), "parallel": dict(block_widths=(5, 4), top_widths=(6,))}
+for _topology, _widths in _WIDTHS.items():
+    for _names in ABLATION_SUBSETS:
+        SPECS["_".join((_topology, *_names))] = ModelSpec(
+            topology=_topology, **_widths, embed_dim=3, ablation=Ablation.from_names(_names), seed=3
+        )
 
 
 @pytest.mark.parametrize("case", list(SPECS))

@@ -1,5 +1,6 @@
 import configparser
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -680,8 +681,11 @@ def test_config_defaults_materialize(tmp_path):
 
 
 def test_module_entrypoint_help():
+    # the checkout's src/, not an installed copy; pytest's pythonpath does not reach a subprocess
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "masknet.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "masknet.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "gen-synth" in proc.stdout

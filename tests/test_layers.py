@@ -183,3 +183,10 @@ def test_layer_gradchecks(name):
     rep = layer_check(name, make_rng(7, 5))
     assert rep.name == name
     assert rep.passed, rep.line()
+
+
+def test_relu_gradcheck_checks_the_library_relu(monkeypatch):
+    import masknet.gradchecks
+
+    monkeypatch.setattr(masknet.gradchecks, "relu_bwd", lambda dy, x: dy)  # the sign mask forgotten
+    assert not layer_check("relu", make_rng(7, 5)).passed

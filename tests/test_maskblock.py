@@ -1,8 +1,11 @@
-import numpy as np
+from dataclasses import replace
 
-from conftest import random_batch, small_schema
-from masknet.gradchecks import run_suite
-from masknet.maskblock import Ablation, BlockParams, block_output_width, maskblock_fwd
+import numpy as np
+import pytest
+
+from conftest import ABLATION_SUBSETS, random_batch, small_schema
+from masknet.gradchecks import STREAM_GRADCHECK, _model_case, run_suite
+from masknet.maskblock import Ablation, BlockParams, block_arrays, maskblock_fwd
 from masknet.model import Model, ModelSpec
 from masknet.numeric import make_rng, relu_fwd
 from oracles import o_block_on_block, o_block_on_embedding, o_embed
@@ -28,8 +31,7 @@ def test_identity_mask_plus_no_ln_reduces_to_plain_fc(rng):
     p.b1 = np.zeros_like(p.b1)
     p.b2 = np.ones_like(p.b2)  # mask == 1 everywhere
     v = rng.normal(size=(5, m))
-    ab = Ablation(no_ln=True)
-    out, _ = maskblock_fwd(v, v, p, ab, eps=1e-8)
+    out, _ = maskblock_fwd(v, v, replace(p, g=None, b=None), eps=1e-8)
     assert np.allclose(out, relu_fwd(v @ p.w.T), atol=1e-15)
 
 
@@ -39,7 +41,7 @@ def test_zero_ffn_and_zero_ln_bias_gives_zero_output(rng):
     p.w = np.zeros_like(p.w)
     p.b = np.zeros_like(p.b)
     v = rng.normal(size=(2, m))
-    out, _ = maskblock_fwd(v, v, p, Ablation(), eps=1e-8)
+    out, _ = maskblock_fwd(v, v, p, eps=1e-8)
     assert np.array_equal(out, np.zeros((2, q)))
 
 
@@ -51,7 +53,7 @@ def test_all_ones_mask_reduces_on_block_to_ln_hid(rng):
     p.b2 = np.ones_like(p.b2)
     v_emb = rng.normal(size=(3, m))
     v_prev = rng.normal(size=(3, pwidth))
-    out, _ = maskblock_fwd(v_emb, v_prev, p, Ablation(), eps=1e-8)
+    out, _ = maskblock_fwd(v_emb, v_prev, p, eps=1e-8)
     from masknet.layers import ln_hid_fwd
 
     expect, _ = ln_hid_fwd(v_prev, p.w, p.g, p.b, 1e-8)
@@ -62,7 +64,7 @@ def test_zero_previous_output_gives_relu_of_ln_bias(rng):
     m, q = 4, 3
     p = rand_block(rng, m, m, q)
     v_emb = rng.normal(size=(2, m))
-    out, _ = maskblock_fwd(v_emb, np.zeros((2, m)), p, Ablation(), eps=1e-8)
+    out, _ = maskblock_fwd(v_emb, np.zeros((2, m)), p, eps=1e-8)
     assert np.allclose(out, np.maximum(p.b, 0.0)[None, :].repeat(2, axis=0), atol=1e-12)
 
 
@@ -132,8 +134,8 @@ def test_identity_mask_equals_no_mask_ablation(rng):
     p.b2 = np.ones_like(p.b2)
     v = rng.normal(size=(6, m))
     target = rng.normal(size=(6, m))
-    with_identity, _ = maskblock_fwd(v, target, p, Ablation(), eps=1e-8)
-    without_mask, _ = maskblock_fwd(v, target, p, Ablation(no_mask=True), eps=1e-8)
+    with_identity, _ = maskblock_fwd(v, target, p, eps=1e-8)
+    without_mask, _ = maskblock_fwd(v, target, replace(p, w1=None, b1=None, w2=None, b2=None), eps=1e-8)
     assert np.array_equal(with_identity, without_mask)
 
 
@@ -142,18 +144,33 @@ def test_multiplicative_path_is_not_additive(rng):
     m, q = 4, 3
     p = rand_block(rng, m, m, q, with_ln=False)
     v = rng.normal(size=(1, m))
-    ab = Ablation(no_ln=True)
-    out1, _ = maskblock_fwd(v, v, p, ab, eps=1e-8)
-    out2, _ = maskblock_fwd(2 * v, 2 * v, p, ab, eps=1e-8)
+    out1, _ = maskblock_fwd(v, v, p, eps=1e-8)
+    out2, _ = maskblock_fwd(2 * v, 2 * v, p, eps=1e-8)
     assert np.abs(out2 - 2 * out1).max() > 1e-3
 
 
-def test_block_output_width_respects_no_ffn():
-    assert block_output_width(10, 64, Ablation()) == 64
-    assert block_output_width(10, 64, Ablation(no_ffn=True)) == 10
+def test_block_output_width_respects_no_ffn(rng):
+    for ab, width in [(Ablation(), 64), (Ablation(no_ffn=True), 10), (Ablation(no_mask=True, no_ffn=True), 10)]:
+        arrays, out_width = block_arrays("block1", 6, 10, 64, ab, 2, 0.0, rng)
+        assert out_width == width
+        v_emb, target = rng.normal(size=(3, 6)), rng.normal(size=(3, 10))
+        out, _ = maskblock_fwd(v_emb, target, BlockParams.named(arrays, "block1"), eps=1e-8)
+        assert out.shape == (3, width)
 
 
 def test_three_block_serial_gradcheck():
     reports = {r.name: r for r in run_suite(seed=0)}
     rep = reports["serial_masknet_3_blocks"]
+    assert rep.passed and rep.tol == 1e-4, rep.line()
+
+
+@pytest.mark.parametrize("names", ABLATION_SUBSETS, ids=lambda names: "+".join(names) or "full")
+@pytest.mark.parametrize("topology", ["serial", "parallel"])
+def test_every_ablation_subset_gradcheck(topology, names):
+    # a block takes the path its arrays choose, so combined ablations take paths of their own
+    spec = ModelSpec(
+        topology=topology, block_widths=(3, 3), top_widths=(3,), embed_dim=4, reduction=2,
+        ablation=Ablation.from_names(names), seed=16,
+    )
+    rep = _model_case(spec, make_rng(0, STREAM_GRADCHECK), f"{topology}_{'+'.join(names)}")
     assert rep.passed and rep.tol == 1e-4, rep.line()
