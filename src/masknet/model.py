@@ -21,6 +21,7 @@ exactly 0.5 and the initial log loss is ln 2, a handy training anchor.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 
@@ -37,14 +38,28 @@ INIT_STREAM = 0
 
 TOPOLOGIES = ("serial", "parallel", "dnn", "linear")
 
-# Rows per `forward` call in `predict`.  At 256 rows each activation of an
-# 8-field, k=10 model is 160-320 KB, so one tile's working set stays inside a
-# 2 MB L2 cache; a 4096-row forward streams every activation through memory,
-# and its cache keeps them all alive at once.  BLAS runs a call of a handful
-# of rows (18 or fewer with OpenBLAS; one row is a GEMV) through other
-# kernels, whose last bits differ, so `predict` never leaves such a sliver:
-# its last call takes the rest of the rows.
+# Rows per `forward` call in `predict` and `train.train_step`.  At 256 rows
+# each activation of an 8-field, k=10 model is 160-320 KB, so one tile's
+# working set stays inside a 2 MB L2 cache; a 4096-row forward streams every
+# activation through memory, and its cache keeps them all alive at once.  BLAS
+# runs a call of a handful of rows (18 or fewer with OpenBLAS; one row is a
+# GEMV) through other kernels, whose last bits differ, so `row_tiles` never
+# leaves such a sliver: its last tile takes the rest of the rows.
 SCORE_TILE = 256
+
+
+def row_tiles(n: int, batch_size: int | None = None) -> Iterator[slice]:
+    """The row slices of n rows that each get one `forward` call: tiles of
+    min(batch_size, SCORE_TILE) rows, the last taking the rest once it fits
+    in min(batch_size, 2*SCORE_TILE - 1) rows.  No batch_size: no cap."""
+    tile, rest = SCORE_TILE, 2 * SCORE_TILE - 1
+    if batch_size is not None:
+        tile, rest = min(batch_size, tile), min(batch_size, rest)
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= rest else lo + tile
+        yield slice(lo, hi)
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -262,19 +277,15 @@ class Model:
     def predict(self, ds: Dataset, batch_size: int = 4096) -> np.ndarray:
         """Probabilities over a dataset; forward-only, caches discarded.
 
-        Scores tiles of min(batch_size, SCORE_TILE) rows; the last call takes
-        the rest once it fits in min(batch_size, 2*SCORE_TILE - 1) rows.
+        One `forward` call per tile of `row_tiles(ds.n, batch_size)`, the
+        rule `train.train_step` also tiles by, so one tile's activations are
+        alive at a time.
         """
         if batch_size < 1:
             raise ConfigError(f"predict needs batch_size >= 1, got {batch_size}")
-        tile = min(batch_size, SCORE_TILE)
-        rest = min(batch_size, 2 * SCORE_TILE - 1)
         out = np.empty(ds.n)
-        lo = 0
-        while lo < ds.n:
-            hi = ds.n if ds.n - lo <= rest else lo + tile
-            out[lo:hi], _ = self.forward(ds.cat[lo:hi], ds.num[lo:hi])
-            lo = hi
+        for rows in row_tiles(ds.n, batch_size):
+            out[rows], _ = self.forward(ds.cat[rows], ds.num[rows])
         return out
 
     def mask_values(self, cat: np.ndarray, num: np.ndarray) -> list[np.ndarray]:
@@ -292,12 +303,6 @@ class _Undrawn:
     @staticmethod
     def normal(loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
         return np.empty(size)
-
-
-def relu_pattern(cache: dict) -> np.ndarray | None:
-    """Concatenated activation signs of every ReLU site, for kink detection."""
-    pre = cache["relu_pre"]
-    return np.concatenate([(a > 0.0).ravel() for a in pre]) if pre else None
 
 
 # ---------------------------------------------------------------------------

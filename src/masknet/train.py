@@ -14,7 +14,7 @@ import numpy as np
 from .data import Dataset, STREAM_SHUFFLE
 from .errors import ConfigError, TrainingError, check_finite_fields
 from .evaluate import auc, logloss
-from .model import Model, relu_pattern
+from .model import Model, row_tiles
 from .numeric import ParamStore, make_rng
 
 # Elements per pass of the Adam update: the pass's 1 MB of scratch stays in
@@ -60,24 +60,44 @@ def add_l2_grad(store: ParamStore, lam: float) -> None:
         store.grad_buf += 2.0 * lam * store.param_buf
 
 
-def train_step(model: Model, cat: np.ndarray, num: np.ndarray, labels: np.ndarray, lam: float) -> tuple[float, dict]:
-    """The gradient of one minibatch: zero the gradients, then forward,
-    backward and the L2 term.  Returns (mean log loss without the L2 term,
-    forward cache)."""
+def train_step(
+    model: Model, cat: np.ndarray, num: np.ndarray, labels: np.ndarray, lam: float, kinks: list | None = None
+) -> tuple[float, np.ndarray]:
+    """The gradient of one minibatch: zero the gradients, then forward and
+    backward once per `row_tiles` tile, then the L2 term.  Returns (mean log
+    loss without the L2 term, probabilities).
+
+    Each tile's backward adds its share of the batch mean into the gradient
+    buffer, so one tile's forward cache is alive at a time.  A batch of up to
+    2*SCORE_TILE - 1 rows is one tile; a larger one keeps each row's
+    probability, and its sums over rows are rounded tile by tile.  A `kinks`
+    list gets each tile's ReLU activation signs appended.
+    """
     model.store.zero_grads()
-    probs, cache = model.forward(cat, num)
-    model.backward(cache, (probs - labels) / len(labels))
+    probs = np.empty(len(labels))
+    for rows in row_tiles(len(labels)):
+        probs[rows] = _tile_step(model, cat[rows], num[rows], labels[rows], len(labels), kinks)
     add_l2_grad(model.store, lam)
-    return logloss(probs, labels), cache
+    return logloss(probs, labels), probs
+
+
+def _tile_step(model: Model, cat, num, labels, batch_rows: int, kinks: list | None) -> np.ndarray:
+    """Forward and backward of one tile; its cache dies on return."""
+    probs, cache = model.forward(cat, num)
+    model.backward(cache, (probs - labels) / batch_rows)
+    if kinks is not None:
+        kinks += [(a > 0.0).ravel() for a in cache["relu_pre"]]
+    return probs
 
 
 def objective_closure(model: Model, cat: np.ndarray, num: np.ndarray, labels: np.ndarray, lam: float = 0.0):
-    """f(store) -> (objective, relu pattern) running the training step; the
-    shape gradcheck expects."""
+    """f(store) -> (objective, ReLU pattern of every row) running the
+    training step; the shape gradcheck expects."""
 
     def f(store: ParamStore):
-        loss, cache = train_step(model, cat, num, labels, lam)
-        return loss + l2_penalty(store, lam), relu_pattern(cache)
+        kinks: list = []
+        loss, _ = train_step(model, cat, num, labels, lam, kinks)
+        return loss + l2_penalty(store, lam), np.concatenate(kinks) if kinks else None
 
     return f
 

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import random_batch, small_schema
+from masknet import model as model_module
 from masknet.data import SyntheticSpec, gen_synthetic, split_dataset
 from masknet.errors import ConfigError, TrainingError
 from masknet.maskblock import Ablation
@@ -70,12 +73,95 @@ def test_train_step_is_the_gradcheck_objective():
     model.store.params["head.w"] += make_rng(4, 13).normal(size=model.store.params["head.w"].shape)
     cat, num, labels = tr.cat[:16], tr.num[:16], tr.labels[:16]
     model.store.grads["head.w"] += 5.0  # stale gradient: train_step must clear it
-    loss, cache = train_step(model, cat, num, labels, 0.01)
+    loss, probs = train_step(model, cat, num, labels, 0.01)
     grads = model.store.grad_buf.copy()
-    assert loss == logloss(cache["probs"], labels)
+    assert loss == logloss(probs, labels)
     objective_value, _ = objective_closure(model, cat, num, labels, lam=0.01)(model.store)
     assert objective_value == loss + 0.01 * model.store.l2_sq()
     assert np.array_equal(model.store.grad_buf, grads)
+
+
+def tiled_model(topo, widths=(6, 6, 6), f_cat=7, vocab=50, embed_dim=10, n=1024):
+    """A model with a random head, and an n-row batch of its schema."""
+    schema = small_schema(f_cat=f_cat, f_num=1, vocab=vocab)
+    model = Model(tiny_spec(topo, seed=3, block_widths=widths, top_widths=widths[:2], embed_dim=embed_dim), schema)
+    head = model.store.params["head.w" if topo != "linear" else "lin.w0"]
+    head += make_rng(3, 13).normal(scale=0.5, size=head.shape)
+    return model, random_batch(schema, make_rng(3, 14), n=n)
+
+
+def one_call_step(model, cat, num, labels, lam):
+    """The step as one forward and one backward over the whole batch."""
+    model.store.zero_grads()
+    probs, cache = model.forward(cat, num)
+    model.backward(cache, (probs - labels) / len(labels))
+    add_l2_grad(model.store, lam)
+    return logloss(probs, labels), probs, model.store.grad_buf.copy()
+
+
+@pytest.mark.parametrize("n, calls", [(1024, [256] * 4), (300, [300]), (600, [256, 344]), (511, [511]), (512, [256, 256])])
+def test_train_step_forward_calls(monkeypatch, n, calls):
+    model, (cat, num, labels) = tiled_model("dnn")
+    seen = []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda cat, num: seen.append(len(cat)) or forward(cat, num))
+    train_step(model, cat[:n], num[:n], labels[:n], 0.0)
+    assert seen == calls
+
+
+@pytest.mark.parametrize("n", [1, 300, 511])
+@pytest.mark.parametrize("topo", ["serial", "parallel", "dnn", "linear"])
+def test_train_step_of_one_tile_has_the_bits_of_one_call(topo, n):
+    model, (cat, num, labels) = tiled_model(topo)
+    cat, num, labels = cat[:n], num[:n], labels[:n]
+    loss, probs, grads = one_call_step(model, cat, num, labels, 0.01)
+    got_loss, got_probs = train_step(model, cat, num, labels, 0.01)
+    assert got_loss == loss
+    assert np.array_equal(got_probs, probs)
+    assert np.array_equal(model.store.grad_buf, grads)
+
+
+@pytest.mark.parametrize("topo", ["serial", "parallel", "dnn", "linear"])
+def test_train_step_in_tiles_keeps_the_loss_bits(topo):
+    # 256-row tiles give each row the bits of one 1024-row forward; only the
+    # sums over the batch (dw, db, the LN and embedding sums) add up by tile
+    model, (cat, num, labels) = tiled_model(topo, widths=(64, 64, 64))
+    loss, probs, grads = one_call_step(model, cat, num, labels, 0.01)
+    got_loss, got_probs = train_step(model, cat, num, labels, 0.01)
+    assert got_loss == loss
+    assert np.array_equal(got_probs, probs)
+    assert np.abs(model.store.grad_buf - grads).max() <= 1e-12 * np.abs(grads).max()
+
+
+@pytest.mark.parametrize("topo", ["serial", "parallel"])
+def test_objective_closure_sees_every_tile(monkeypatch, topo):
+    monkeypatch.setattr(model_module, "SCORE_TILE", 8)  # 20 rows: tiles of 8 and 12
+    model, (cat, num, labels) = tiled_model(topo, widths=(3, 4), f_cat=2, vocab=3, embed_dim=4, n=20)
+    f = objective_closure(model, cat, num, labels, lam=0.01)
+    _, kinks = f(model.store)
+    _, cache = model.forward(cat, num)
+    tiles = (slice(0, 8), slice(8, 20))
+    assert np.array_equal(kinks, np.concatenate([(a[t] > 0.0).ravel() for t in tiles for a in cache["relu_pre"]]))
+    rep = gradcheck(f, model.store, h=1e-6, tol=1e-4, name=f"tiled_{topo}")
+    assert rep.passed, rep.line()
+
+
+@pytest.mark.parametrize("topo", ["serial", "parallel", "dnn"])
+def test_train_step_memory_does_not_grow_with_the_batch(topo):
+    # a step keeps one tile's activations alive, so 4 tiles peak like 1
+    model, (cat, num, labels) = tiled_model(topo, widths=(64, 64, 64))
+    train_step(model, cat[:256], num[:256], labels[:256], 0.0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (256, 1024):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train_step(model, cat[:n], num[:n], labels[:n], 0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_adam_zero_gradient_is_noop():
