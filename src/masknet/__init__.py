@@ -7,11 +7,11 @@ in parallel over a shared feature embedding.
 """
 
 from .data import Dataset, FeatureSchema, Field, SyntheticSpec, gen_synthetic, split_dataset
-from .evaluate import EvalReport, auc, evaluate_model, inspect_masks, relaimp
+from .evaluate import EvalReport, auc, evaluate_model, inspect_masks, logloss, relaimp
 from .maskblock import Ablation
 from .model import Model, ModelSpec, load_checkpoint, param_count, save_checkpoint
 from .numeric import GradcheckReport, ParamStore, gradcheck, make_rng
-from .train import History, TrainConfig, logloss, train
+from .train import History, TrainConfig
 
 __all__ = [
     "Ablation",
@@ -38,7 +38,6 @@ __all__ = [
     "relaimp",
     "save_checkpoint",
     "split_dataset",
-    "train",
 ]
 
 __version__ = "0.1.0"

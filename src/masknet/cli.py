@@ -226,7 +226,7 @@ def _train_run(cfg: RunConfig, splits: tuple[Dataset, Dataset, Dataset], out: st
     """Train one model and write _RUN_FILES into `out`; returns the result
     and the report's lines."""
     t0 = time.time()
-    model, result = run_experiment(cfg.model, splits, cfg.train, label=label, baseline=baseline)
+    model, result = run_experiment(cfg.model, splits, cfg.train, baseline=baseline)
     seconds = time.time() - t0
 
     run_dir = _out_dir(out)

@@ -140,39 +140,29 @@ class MaskInspection:
 def inspect_masks(model, ds, sample_size: int, n_examples: int = 2, seed: int = 0) -> MaskInspection:
     """Sample instances, collect per-block mask values, and bin them.
 
-    Histograms use HIST_BINS uniform bins over the empirical [min, max] of
-    each block (recorded in the header); the first `n_examples` sampled
-    instances also get their raw per-block mask vectors dumped for
-    side-by-side comparison.
+    Every sampled instance goes through one `model.mask_values` call, which
+    scores in `predict`'s row tiles.  Histograms use HIST_BINS uniform bins
+    over the empirical [min, max] of each block (recorded in the header); the
+    first `n_examples` sampled instances also get their raw per-block mask
+    vectors dumped for side-by-side comparison.
     """
     if sample_size < 1:
         raise MetricError("inspect_masks needs sample_size >= 1")
     if n_examples < 0:
         raise MetricError(f"inspect_masks needs n_examples >= 0, got {n_examples}")
     rng = make_rng(seed, STREAM_INSPECT)
-    size = min(sample_size, ds.n)
-    idx = rng.choice(ds.n, size=size, replace=False)
-
-    n_blocks = model.spec.u
-    collected: list[list[np.ndarray]] = [[] for _ in range(n_blocks)]
-    for lo in range(0, size, 4096):
-        sl = idx[lo : lo + 4096]
-        masks = model.mask_values(ds.cat[sl], ds.num[sl])
-        for b, mk in enumerate(masks):
-            collected[b].append(mk)
+    idx = rng.choice(ds.n, size=min(sample_size, ds.n), replace=False)
+    masks = model.mask_values(ds.cat[idx], ds.num[idx])
 
     histograms = []
-    example_masks = []
-    for b in range(n_blocks):
-        vals = np.concatenate(collected[b], axis=0)
+    for b, vals in enumerate(masks, start=1):
         lo, hi = float(vals.min()), float(vals.max())
         if hi <= lo:  # constant masks: pad so the bin spec stays valid
             lo, hi = lo - 0.5, hi + 0.5
         counts, edges = np.histogram(vals.ravel(), bins=HIST_BINS, range=(lo, hi))
-        histograms.append(MaskHistogram(block=b + 1, edges=edges, counts=counts))
-        example_masks.append(vals[: min(n_examples, size)])
+        histograms.append(MaskHistogram(block=b, edges=edges, counts=counts))
     return MaskInspection(
         histograms=histograms,
-        example_indices=idx[: min(n_examples, size)],
-        example_masks=example_masks,
+        example_indices=idx[:n_examples],
+        example_masks=[vals[:n_examples] for vals in masks],
     )

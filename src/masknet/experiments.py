@@ -15,8 +15,6 @@ ABLATION_VARIANTS = ("full", "no_mask", "no_ln", "no_ffn")
 
 @dataclass
 class ExperimentResult:
-    label: str
-    spec: ModelSpec
     history: History
     valid: EvalReport
     test: EvalReport
@@ -26,15 +24,12 @@ def run_experiment(
     spec: ModelSpec,
     splits: tuple[Dataset, Dataset, Dataset],
     cfg: TrainConfig,
-    label: str = "",
     baseline: tuple[str, float] | None = None,
 ) -> tuple[Model, ExperimentResult]:
     train_ds, valid_ds, test_ds = splits
     model = Model(spec, train_ds.schema)
     history = train(model, train_ds, valid_ds, cfg)
     result = ExperimentResult(
-        label=label or spec.topology,
-        spec=spec,
         history=history,
         valid=evaluate_model(model, valid_ds),
         test=evaluate_model(model, test_ds, baseline),
@@ -56,7 +51,7 @@ def run_ablation_grid(
     for topology in ("serial", "parallel"):
         for variant in ABLATION_VARIANTS:
             spec = replace(base, topology=topology, ablation=Ablation.from_names([] if variant == "full" else [variant]))
-            _, results[(topology, variant)] = run_experiment(spec, splits, cfg, label=f"{topology}/{variant}")
+            _, results[(topology, variant)] = run_experiment(spec, splits, cfg)
     return results, ablation_table(results)
 
 

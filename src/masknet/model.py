@@ -125,6 +125,10 @@ class Model:
         self._blocks = [BlockParams.named(self.store.params, n) for n in names]
         self._block_grads = [BlockParams.named(self.store.grads, n) for n in names]
         self.has_mask_units = any(bp.w1 is not None for bp in self._blocks)
+        # banked: the columns of the merged output that each block fills (a
+        # block with no FFN passes on its m-wide masked embedding)
+        m = schema.f * spec.embed_dim
+        self._merge_bounds = [0, *accumulate(m if bp.w is None else len(bp.w) for bp in self._blocks)]
         prefix, k = ("lin", 1) if spec.topology == "linear" else ("emb", spec.embed_dim)
         self._emb, self._emb_grad = embedding_tables(self.store, schema, k, prefix)
 
@@ -210,7 +214,6 @@ class Model:
                 cache["blocks"].append(bc)
                 outs.append(h)
             if self.banked:
-                cache["merge_widths"] = [o.shape[1] for o in outs]
                 h = np.concatenate(outs, axis=1)
             cache["mlp"] = []
             for l in range(1, len(self.mlp_widths) + 1):
@@ -221,9 +224,7 @@ class Model:
             cache["head_in"] = h
             logit = h @ p["head.w"] + p["head.w0"][0]
 
-        probs = sigmoid(logit)
-        cache["probs"] = probs
-        return probs, cache
+        return sigmoid(logit), cache
 
     # ----- backward --------------------------------------------------------
 
@@ -257,7 +258,7 @@ class Model:
         steps = list(zip(self._blocks, self._block_grads, cache["blocks"]))
         if self.banked:
             dtarget = np.zeros_like(dv_emb)
-            bounds = [0, *accumulate(cache["merge_widths"])]
+            bounds = self._merge_bounds
             for (bp, bg, bc), lo, hi in zip(steps, bounds, bounds[1:]):
                 dtarget += maskblock_bwd(dh[:, lo:hi], bc, bp, bg, dv_emb)
         else:
@@ -289,11 +290,21 @@ class Model:
         return out
 
     def mask_values(self, cat: np.ndarray, num: np.ndarray) -> list[np.ndarray]:
-        """Per-block mask vectors for a batch (serial/parallel models only)."""
+        """Per-block mask vectors for a batch, (B, z) each (serial/parallel
+        models only).
+
+        One `forward` call per tile of `row_tiles(len(cat))`, the tiles
+        `predict` scores in.  Only the tile's masks outlive its forward cache,
+        so one tile's cache is alive at a time.
+        """
         if not self.has_mask_units:
             raise ConfigError(f"model {self.spec.topology!r} (ablation={self.spec.ablation.names()}) has no mask units")
-        _, cache = self.forward(cat, num)
-        return [bc["mask"] for bc in cache["blocks"]]
+        out = [np.empty((len(cat), len(bp.w2))) for bp in self._blocks]
+        for rows in row_tiles(len(cat)):
+            tile = [bc["mask"] for bc in self.forward(cat[rows], num[rows])[1]["blocks"]]
+            for masks, mask in zip(out, tile):
+                masks[rows] = mask
+        return out
 
 
 class _Undrawn:

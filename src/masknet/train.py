@@ -45,6 +45,7 @@ class TrainConfig:
             ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
             ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
             ("adam_eps", self.adam_eps > 0, "> 0"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")

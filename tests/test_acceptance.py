@@ -9,7 +9,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to stream the lines.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +62,7 @@ def central(bundles):
         splits, _ = bundles[seed]
         for topo in ("linear", "dnn", "serial"):
             cfg = TrainConfig(seed=seed, **BUDGET)
-            runs[(seed, topo)] = run_experiment(_spec(topo, seed), splits, cfg, label=f"{topo}@{seed}")
+            runs[(seed, topo)] = run_experiment(_spec(topo, seed), splits, cfg)
     return runs, time.time() - t0
 
 
@@ -179,11 +178,11 @@ def ablation_grid(bundles, central):
     runs, _ = central
     model, result = runs[(1, "serial")]
 
-    def reuse_serial_at_1(spec, data, train_cfg, label=""):
+    def reuse_serial_at_1(spec, data, train_cfg):
         # the grid's serial/full run is criterion 4's serial@1: same spec, config and splits
         if data is splits and spec == _spec("serial", 1) and train_cfg == cfg:
-            return model, replace(result, label=label)
-        return run_experiment(spec, data, train_cfg, label=label)
+            return model, result
+        return run_experiment(spec, data, train_cfg)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("masknet.experiments.run_experiment", reuse_serial_at_1)

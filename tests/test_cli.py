@@ -478,6 +478,25 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "run1").exists()
 
 
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_negative_run_seed_exits_before_reading_data(tmp_path, capsys, monkeypatch, source):
+    for func in ("ingest_csv", "gen_synthetic"):
+        monkeypatch.setattr(f"masknet.cli.{func}", lambda *a, **k: pytest.fail("read data for a negative seed"))
+    if source == "csv":
+        (tmp_path / "data.csv").write_text("c1,label\n" + "".join(f"v{i % 3},{i % 2}\n" for i in range(20)))
+        (tmp_path / "schema.txt").write_text("c1,categorical\nlabel,label\n")
+        cfg = tmp_path / "csv.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\npath = {tmp_path / 'data.csv'}\nschema = {tmp_path / 'schema.txt'}\n"
+            f"[run]\nout_dir = {tmp_path / 'run1'}\n"
+        )
+    else:
+        cfg = config_with(tmp_path, "data", "seed", "3")  # the data seed does not inherit the run seed
+    assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert one_error_line(capsys) == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "run1").exists()
+
+
 @pytest.mark.parametrize("section, key", [("model", "dnn_bias"), ("model", "seed"), ("train", "seed")])
 def test_dataclass_fields_outside_the_table_are_unknown_keys(tmp_path, section, key):
     cfg = config_with(tmp_path, section, key, "1")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from masknet.model import (
     load_checkpoint,
     param_breakdown,
     param_count,
+    row_tiles,
     save_checkpoint,
 )
 from masknet.numeric import make_rng
@@ -509,6 +511,49 @@ def test_mask_values_requires_mask_units():
         model = Model(ModelSpec(topology=topology, block_widths=(3, 2), embed_dim=2, ablation=Ablation(no_ln=True)), schema)
         assert model.has_mask_units
         assert [m.shape for m in model.mask_values(cat, num)] == [(1, w) for w in widths]
+
+
+@pytest.mark.parametrize("n, calls", [(1024, [256] * 4), (300, [300]), (600, [256, 344])])
+def test_mask_values_forward_calls(monkeypatch, n, calls):
+    ds = scoring_set(n)
+    model = scoring_model("serial", ds.schema)
+    seen = []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda cat, num: seen.append(len(cat)) or forward(cat, num))
+    assert [m.shape for m in model.mask_values(ds.cat, ds.num)] == [(n, 9), (n, 6)]
+    assert seen == calls
+
+
+@pytest.mark.parametrize("case", ["serial", "parallel"])
+def test_mask_values_match_one_forward_per_tile(case):
+    ds = scoring_set(1100)  # tiles of 256, 256, 256 and 332 rows
+    model = scoring_model(case, ds.schema)
+    masks = model.mask_values(ds.cat, ds.num)
+    for rows in row_tiles(ds.n):
+        _, cache = model.forward(ds.cat[rows], ds.num[rows])
+        assert len(cache["blocks"]) == len(masks)
+        for got, bc in zip(masks, cache["blocks"]):
+            assert np.array_equal(got[rows], bc["mask"]), rows
+
+
+def test_mask_values_memory_does_not_grow_with_the_rows():
+    # one tile's forward cache is alive at a time, so 16 tiles peak like 1
+    schema = small_schema(f_cat=7, f_num=1, vocab=50)
+    model = Model(ModelSpec(topology="serial", block_widths=(64, 64, 64), seed=3), schema)
+    cat, num, _ = random_batch(schema, make_rng(3, 14), n=4096)
+    model.mask_values(cat[:256], num[:256])
+    extra = []
+    tracemalloc.start()
+    try:
+        for n in (256, 4096):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            masks = model.mask_values(cat[:n], num[:n])
+            extra.append(tracemalloc.get_traced_memory()[1] - base - sum(m.nbytes for m in masks))
+            del masks
+    finally:
+        tracemalloc.stop()
+    assert extra[1] <= 1.5 * extra[0], extra
 
 
 def test_bad_spec_rejected():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -316,3 +317,11 @@ def test_history_csv_shape():
     assert lines[0].startswith("# first_batch_loss=")
     assert lines[1] == "epoch,train_logloss,valid_auc"
     assert len(lines) == 2 + len(hist.rows)
+
+
+def test_import_masknet_train_binds_the_module():
+    # the package binds no function under a submodule's name
+    import masknet.train as t
+
+    assert isinstance(t, types.ModuleType)
+    assert t.train_step is train_step
